@@ -9,15 +9,16 @@ package core
 //
 // The coordinator consumes events (RegisterWorker, HandleReply, Tick,
 // WorkerLost, EvalDone, LossObserved) and emits commands (Dispatch,
-// Evaluate, ObserveLoss, AdvanceClock, Checkpoint, Done) that a driver
-// executes. Three drivers exist:
+// Evaluate, ObserveLoss, AdvanceClock, Checkpoint, Pause, Done). One
+// loop, Drive (drive.go), executes them for every executor; what
+// differs is only the Transport a reply arrives over:
 //
-//   - core.Run: the in-process synchronous simulator (parallel local
-//     solves, optional virtual-time accounting),
-//   - core.runAsyncVTime (vsim.go): the deterministic discrete-event
-//     executor of the asynchronous modes on the internal/vtime clock,
-//   - internal/fednet.Server: the TCP runtime (sync and async), where
-//     Dispatch becomes a TrainRequest and Evaluate an EvalRequest.
+//   - in process, immediately (core.Run's synchronous rounds) or on the
+//     internal/vtime arrival queue (its asynchronous modes, vsim.go),
+//   - from a recorded trace's tape (core.Replay),
+//   - from a child coordinator's window (core.RunTiered),
+//   - over TCP (internal/fednet's Server and Edge), where Dispatch
+//     becomes a TrainRequest and Evaluate an EvalRequest.
 //
 // Because all aggregation arithmetic and every environment-stream draw
 // happens here, cross-executor equivalence (same seed ⇒ bit-identical
@@ -374,11 +375,11 @@ type evalPending struct {
 
 // Coordinator is the transport-agnostic FedProx server core. Construct
 // with NewCoordinator, register every device with RegisterWorker, then
-// call Start and execute the returned commands, feeding events back until
-// Done. Coordinator is not safe for concurrent use: drivers serialize
-// event delivery. The device half of the protocol — downlink decode,
-// local solve, privacy, uplink encode — lives in core.Device; the
-// coordinator only encodes broadcasts and decodes replies.
+// hand Start's commands to Drive with the Transport of the medium.
+// Coordinator is not safe for concurrent use: drivers serialize event
+// delivery. The device half of the protocol — downlink decode, local
+// solve, privacy, uplink encode — lives in core.Device; the coordinator
+// only encodes broadcasts and decodes replies.
 type Coordinator struct {
 	cfg   Config
 	async AsyncConfig
@@ -1588,19 +1589,24 @@ func (c *Coordinator) WorkerLost(devices []int) ([]Command, error) {
 
 // decodeReply recovers the device's solution from a Reply: encoded
 // uplinks decode against the exact broadcast view the device trained
-// from; raw Params pass through.
+// from; raw Params pass through. Either way the solution must have the
+// model's dimension — a reply is untrusted input, and a wrong-length
+// vector would otherwise panic (or silently corrupt) the fold.
 func (c *Coordinator) decodeReply(in *pendingDispatch, r Reply) (wk []float64, upWire int64, err error) {
+	wk, upWire = r.Params, c.paramBytes
 	if r.Update != nil {
 		if c.links == nil {
 			return nil, 0, errors.New("core: encoded reply on a run without codec links")
 		}
-		wk, err = c.links.uplinkDecode(in.device, r.Update, in.view)
-		if err != nil {
+		if wk, err = c.links.uplinkDecode(in.device, r.Update, in.view); err != nil {
 			return nil, 0, err
 		}
-		return wk, r.Update.WireBytes(), nil
+		upWire = r.Update.WireBytes()
 	}
-	return r.Params, c.paramBytes, nil
+	if len(wk) != len(c.w) {
+		return nil, 0, fmt.Errorf("core: device %d replied with %d parameters, model has %d", in.device, len(wk), len(c.w))
+	}
+	return wk, upWire, nil
 }
 
 // HandleReply delivers one device's training result. Replies arriving

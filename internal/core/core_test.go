@@ -489,14 +489,25 @@ func TestCostAdd(t *testing.T) {
 	}
 }
 
-func TestParallelForCoversAll(t *testing.T) {
+func TestSolvePoolCoversAll(t *testing.T) {
+	p := newSolvePool(4, 0)
 	hits := make([]int, 37)
-	parallelFor(37, 4, func(i int) { hits[i]++ })
+	futs := make([]*solveFuture, len(hits))
+	for i := range hits {
+		futs[i] = p.submit(func() (Reply, error) {
+			hits[i]++
+			return Reply{Device: i}, nil
+		})
+	}
+	for i, f := range futs {
+		if r, err := f.wait(); err != nil || r.Device != i {
+			t.Fatalf("future %d joined reply %d (err %v)", i, r.Device, err)
+		}
+	}
+	p.close()
 	for i, c := range hits {
 		if c != 1 {
 			t.Fatalf("index %d hit %d times", i, c)
 		}
 	}
-	// Zero work is a no-op.
-	parallelFor(0, 4, func(i int) { t.Fatal("called for n=0") })
 }

@@ -54,6 +54,11 @@ func goldenDigest(h *History, trace []byte) string {
 // regression common to all of them would pass those; it cannot pass
 // these.
 func TestDriverGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// Other architectures may fuse multiply-adds, which rounds
+		// differently; the digests were recorded on amd64.
+		t.Skip("driver digests are pinned on amd64")
+	}
 	mdl, fed := tinyWorkload()
 	n := fed.NumDevices()
 	codec := comm.Spec{Name: "delta+qsgd", Bits: 8}

@@ -7,6 +7,7 @@ import (
 	"fedprox/internal/comm"
 	"fedprox/internal/privacy"
 	"fedprox/internal/tensor"
+	"fedprox/internal/vtime"
 )
 
 // TestF32RunTracksF64 runs the same seeded deployment at both widths
@@ -115,4 +116,42 @@ func TestF32DeviceConstructorPanics(t *testing.T) {
 		Precision: tensor.F32,
 		Privacy:   &privacy.Mechanism{ClipNorm: 1, NoiseStd: 0.1, Seed: 2},
 	})
+}
+
+// uplinkRecorder wraps a latency model and records every uplink size
+// the virtual clock is asked to price.
+type uplinkRecorder struct {
+	vtime.LatencyModel
+	up []int64
+}
+
+func (r *uplinkRecorder) UplinkSeconds(seq, device int, bytes int64) float64 {
+	r.up = append(r.up, bytes)
+	return r.LatencyModel.UplinkSeconds(seq, device, bytes)
+}
+
+// TestF32VTimePricesFourByteUplinks: without a codec an f32 run's raw
+// replies are priced on the virtual clock at the deployment word size,
+// the same 4 bytes per coordinate History.Cost charges.
+func TestF32VTimePricesFourByteUplinks(t *testing.T) {
+	mdl, fed := tinyWorkload()
+	for _, mode := range []AggregationMode{SyncRounds, AsyncTotal} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := vtimeAsyncConfig(mode, fed.NumDevices())
+			cfg.Precision = tensor.F32
+			rec := &uplinkRecorder{LatencyModel: cfg.VTime.Model}
+			cfg.VTime.Model = rec
+			if _, err := Run(mdl, fed, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if len(rec.up) == 0 {
+				t.Fatal("no uplink was priced")
+			}
+			for _, b := range rec.up {
+				if want := int64(4 * mdl.NumParams()); b != want {
+					t.Fatalf("uplink priced at %d bytes, want %d", b, want)
+				}
+			}
+		})
+	}
 }

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"fedprox/internal/data"
 	"fedprox/internal/metrics"
@@ -32,97 +29,56 @@ func Run(m model.Model, fed *data.Federated, cfg Config) (*History, error) {
 // RunFleet executes one federated optimization run of cfg over a lazy
 // fleet and returns the evaluated trajectory.
 //
-// RunFleet is the in-process driver of the shared core.Coordinator and
-// core.Device: the coordinator makes every server-side decision
-// (selection, straggler policies, aggregation, accounting) and one
-// Device hosting every fleet device serves the device side (decode,
-// solve, privacy, encode). This loop only moves events between the two —
-// parallel HandleDispatch calls for Dispatch, metric passes for
-// Evaluate/ObserveLoss, and virtual-clock charges for AdvanceClock when
-// a latency model is attached. Per-round memory is O(cohort): shards
-// are materialized per dispatch and evaluation streams over the fleet.
+// RunFleet drives the shared core.Coordinator over the in-process
+// transport: one Device hosting every fleet device serves the device
+// side (decode, solve, privacy, encode) on a bounded solve pool, and
+// evaluations are metric passes over the fleet. Synchronous rounds are
+// served immediately, charging each round's critical path to the
+// virtual clock when a latency model is attached; the asynchronous
+// modes run on the virtual-time arrival queue (vsim.go). Per-round
+// memory is O(cohort): shards are materialized per dispatch and
+// evaluation streams over the fleet.
 func RunFleet(m model.Model, fl Fleet, cfg Config) (*History, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Async.Enabled() {
-		if !cfg.VTime.Enabled() {
-			return nil, fmt.Errorf("core: %s aggregation in the simulator requires a virtual-time latency model (set Config.VTime.Model, see internal/vtime); the fednet runtime executes it against the real clock", cfg.Async.Mode)
-		}
-		return runAsyncVTime(m, fl, cfg)
+	async := cfg.Async.Enabled()
+	if async && !cfg.VTime.Enabled() {
+		return nil, fmt.Errorf("core: %s aggregation in the simulator requires a virtual-time latency model (set Config.VTime.Model, see internal/vtime); the fednet runtime executes it against the real clock", cfg.Async.Mode)
 	}
-
 	coord, dev, err := newSimPair(m, fl, cfg)
 	if err != nil {
 		return nil, err
 	}
-	// With a virtual-time model the synchronous protocol gains duration
-	// semantics: every round charges its critical path to the clock and
-	// the clock-native straggler policies apply.
-	var vt *vtimer
+	t := &simTransport{m: m, fl: fl, dev: dev, async: async}
 	if cfg.VTime.Enabled() {
-		vt = newVtimer(cfg.VTime, int64(m.NumParams()*8))
-		coord.Tick(vt.eng.Now())
+		t.vt = newVtimer(coord)
+		coord.Tick(t.vt.eng.Now())
 	}
+	inFlight := cfg.ClientsPerRound
+	if async {
+		inFlight = cfg.Async.WithDefaults(cfg.ClientsPerRound).MaxInFlight
+		// The uplink leg is charged before the solve completes, which is
+		// only sound because every codec's encoded size is a pure
+		// function of the parameter count (asserted against the realized
+		// reply at arrival).
+		t.predictedUp = t.vt.paramBytes
+		if cfg.Codec.Enabled() {
+			_, up := cfg.CommSpecs()
+			t.predictedUp = up.WireSize(m.NumParams())
+		}
+	}
+	t.pool = newSolvePool(cfg.Parallelism, inFlight)
+	defer t.pool.close()
 
 	cmds, err := coord.Start()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		var dispatches []Dispatch
-		var next []Command
-		for _, cmd := range cmds {
-			switch v := cmd.(type) {
-			case Dispatch:
-				dispatches = append(dispatches, v)
-			case Evaluate:
-				if vt != nil {
-					// Eval traffic is charged on the virtual clock too, so
-					// eval cadence affects deadlines consistently with the
-					// analytic byte accounting.
-					vt.chargeEval(v.WireBytes)
-					coord.Tick(vt.eng.Now())
-				}
-				more, err := coord.EvalDone(simEval(m, fl, v))
-				if err != nil {
-					return nil, err
-				}
-				next = append(next, more...)
-			case ObserveLoss:
-				more, err := coord.LossObserved(metrics.FleetLoss(m, fl, v.Params))
-				if err != nil {
-					return nil, err
-				}
-				next = append(next, more...)
-			case AdvanceClock:
-				if vt != nil {
-					vt.eng.Advance(v.Seconds)
-					coord.Tick(vt.eng.Now())
-				}
-			case Checkpoint:
-				// Persisted by the coordinator; nothing to execute.
-			case Done:
-				return coord.History(), nil
-			}
-		}
-		if len(dispatches) > 0 {
-			replies, err := runDispatches(dev, cfg.Parallelism, vt, dispatches)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range replies {
-				more, err := coord.HandleReply(r)
-				if err != nil {
-					return nil, err
-				}
-				next = append(next, more...)
-			}
-		} else if len(next) == 0 {
-			return nil, errors.New("core: coordinator stalled with no commands")
-		}
-		cmds = next
+	if _, err := Drive(coord, cmds, t); err != nil {
+		return nil, err
 	}
+	return coord.History(), nil
 }
 
 // newSimPair builds the two halves of an in-process run: a coordinator
@@ -157,6 +113,39 @@ func newSimPair(m model.Model, fl Fleet, cfg Config) (*Coordinator, *Device, err
 	return coord, dev, nil
 }
 
+// simTransport is the in-process transport: dispatches are solved on
+// one fleet Device and evaluations are metric passes over the fleet.
+// Synchronous batches are served immediately; asynchronous dispatches
+// become arrivals on the virtual-time queue (vsim.go).
+type simTransport struct {
+	m     model.Model
+	fl    Fleet
+	dev   *Device
+	pool  *solvePool
+	vt    *vtimer // nil without a latency model
+	async bool
+
+	predictedUp int64 // async: the uplink bytes every arrival is priced at
+}
+
+func (t *simTransport) Send(ds []Dispatch) ([]Reply, error) {
+	if t.async {
+		t.enqueue(ds)
+		return nil, nil
+	}
+	return serveNow(t.pool, t.dev, t.vt, ds)
+}
+
+func (t *simTransport) Evaluate(v Evaluate) (EvalResult, error) { return simEval(t.m, t.fl, v), nil }
+
+func (t *simTransport) Wait() ([]Command, bool, error) { return t.vt.wait() }
+
+func (t *simTransport) clock() *vtimer { return t.vt }
+
+func (t *simTransport) observeLoss(params []float64) float64 {
+	return metrics.FleetLoss(t.m, t.fl, params)
+}
+
 // simEval answers an Evaluate command with in-process metric passes over
 // the whole network, at the (possibly codec-decoded) eval broadcast
 // view. The passes stream over the fleet, so evaluation memory is
@@ -172,61 +161,71 @@ func simEval(m model.Model, fl Fleet, v Evaluate) EvalResult {
 	return res
 }
 
-// runDispatches serves one synchronous round's dispatches in parallel on
-// the shared device runtime (the decode → solve → probe → encode path
-// lives entirely in core.Device) and, when a latency model is attached,
-// stamps each reply with its virtual transfer timing (sequence numbers
-// allocated in selection order, the ordering rule the arrival race
-// uses). The compute leg is charged for the epochs the device actually
-// ran — a device-side budget that truncates the solve also shortens the
-// round's critical path.
-func runDispatches(dev *Device, parallelism int, vt *vtimer, ds []Dispatch) ([]Reply, error) {
+// serveNow serves one synchronous round's dispatches on the solve pool
+// (the decode → solve → probe → encode path lives entirely in
+// core.Device) and, when a latency model is attached, stamps each reply
+// with its virtual transfer timing (sequence numbers allocated in
+// selection order, the ordering rule the arrival race uses). The
+// compute leg is charged for the epochs the device actually ran — a
+// device-side budget that truncates the solve also shortens the round's
+// critical path.
+func serveNow(pool *solvePool, dev *Device, vt *vtimer, ds []Dispatch) ([]Reply, error) {
+	futs := make([]*solveFuture, len(ds))
+	for i, d := range ds {
+		futs[i] = pool.submit(func() (Reply, error) { return dev.HandleDispatch(d) })
+	}
 	replies := make([]Reply, len(ds))
-	errs := make([]error, len(ds))
-	parallelFor(len(ds), parallelism, func(i int) {
-		replies[i], errs[i] = dev.HandleDispatch(ds[i])
-	})
-	for _, err := range errs {
+	for i, f := range futs {
+		r, err := f.wait()
 		if err != nil {
 			return nil, err
 		}
+		replies[i] = r
 	}
 	if vt != nil {
-		lat := vt.cfg.Model
 		for i, d := range ds {
 			seq := vt.seq
 			vt.seq++
 			replies[i].Timed = true
 			replies[i].Seq = seq
-			replies[i].Rel = lat.DownlinkSeconds(seq, d.Device, d.DownBytes) +
-				lat.ComputeSeconds(d.Round, d.Device, replies[i].EpochsDone) +
-				lat.UplinkSeconds(seq, d.Device, vt.uplinkBytes(replies[i]))
-			replies[i].Lost = lat.Dropped(seq, d.Device)
+			replies[i].Rel = vt.lat.DownlinkSeconds(seq, d.Device, d.DownBytes) +
+				vt.lat.ComputeSeconds(d.Round, d.Device, replies[i].EpochsDone) +
+				vt.lat.UplinkSeconds(seq, d.Device, vt.uplinkBytes(replies[i]))
+			replies[i].Lost = vt.lat.Dropped(seq, d.Device)
 		}
 	}
 	return replies, nil
 }
 
-// vtimer is a driver's virtual-time state: the engine, the latency
-// model, and the per-transfer sequence counters. The policy decisions
-// (deadline, byte budget) live in the coordinator; this type only turns
-// bytes and epochs into seconds.
+// vtimer is an in-process transport's virtual clock: the engine, the
+// latency model, the per-transfer sequence counters, and the arrivals
+// scheduled on the engine. The policy decisions (deadline, byte budget)
+// live in the coordinator; this type only turns bytes and epochs into
+// seconds and delivers arrivals when the engine reaches them.
 type vtimer struct {
-	cfg        VTimeConfig
+	lat        vtime.LatencyModel
 	eng        *vtime.Engine
-	paramBytes int64
-	seq        int // per-dispatch jitter/loss stream index
-	evalSeq    int // per-eval-broadcast stream index
+	coord      *Coordinator
+	paramBytes int64 // a raw reply's uplink: the coordinator's deployment word size
+	seq        int   // per-dispatch jitter/loss stream index
+	evalSeq    int   // per-eval-broadcast stream index
+	// localEval marks a clock whose evaluations are answered locally
+	// (tier edges: only the root measures), so no eval broadcast is
+	// charged to it.
+	localEval bool
+
+	out []Command // commands emitted by the arrival that fired last
+	err error
 }
 
-func newVtimer(cfg VTimeConfig, paramBytes int64) *vtimer {
-	return &vtimer{cfg: cfg, eng: vtime.NewEngine(), paramBytes: paramBytes}
+func newVtimer(coord *Coordinator) *vtimer {
+	return &vtimer{lat: coord.cfg.VTime.Model, eng: vtime.NewEngine(), coord: coord, paramBytes: coord.paramBytes}
 }
 
 // uplinkBytes returns a reply's encoded uplink size, falling back to the
 // uncompressed parameter bytes for raw in-process replies — shared by
-// the synchronous and asynchronous virtual-time drivers so the two
-// transfer charges cannot drift.
+// the synchronous and asynchronous transports so the two transfer
+// charges cannot drift.
 func (v *vtimer) uplinkBytes(r Reply) int64 {
 	if r.Update != nil {
 		return r.Update.WireBytes()
@@ -239,41 +238,29 @@ func (v *vtimer) uplinkBytes(r Reply) int64 {
 // codec that shrinks the eval broadcast also shrinks the time it costs —
 // the virtual-clock counterpart of Cost.EvalBytes.
 func (v *vtimer) chargeEval(bytes int64) {
-	v.eng.Advance(v.cfg.Model.DownlinkSeconds(v.evalSeq, vtime.EvalDevice, bytes))
+	v.eng.Advance(v.lat.DownlinkSeconds(v.evalSeq, vtime.EvalDevice, bytes))
 	v.evalSeq++
 }
 
-// parallelFor runs fn(i) for i in [0, n) on at most limit workers
-// (GOMAXPROCS when limit <= 0).
-func parallelFor(n, limit int, fn func(i int)) {
-	if limit <= 0 {
-		limit = runtime.GOMAXPROCS(0)
+// at schedules an arrival: when the engine reaches virtual time when,
+// the coordinator's clock is synced and deliver runs; the commands it
+// emits come out of the next wait.
+func (v *vtimer) at(when float64, deliver func() ([]Command, error)) {
+	v.eng.Schedule(when, func() {
+		v.coord.Tick(v.eng.Now())
+		v.out, v.err = deliver()
+	})
+}
+
+// wait fires the earliest scheduled arrival; ok is false when nothing
+// is scheduled (always, for a nil clock).
+func (v *vtimer) wait() (cmds []Command, ok bool, err error) {
+	if v == nil || !v.eng.Step() {
+		return nil, false, nil
 	}
-	if limit > n {
-		limit = n
-	}
-	if limit <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < limit; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	cmds, err = v.out, v.err
+	v.out, v.err = nil, nil
+	return cmds, true, err
 }
 
 // Label renders the conventional method name for a configuration, e.g.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"fedprox/internal/frand"
@@ -80,6 +79,9 @@ func RunTiered(m model.Model, fl Fleet, cfg Config, topo tier.Topology) (*Histor
 		}
 	}
 
+	d.pool = newSolvePool(cfg.Parallelism, cfg.ClientsPerRound)
+	defer d.pool.close()
+
 	root, err := d.buildRoot()
 	if err != nil {
 		return nil, err
@@ -91,49 +93,10 @@ func RunTiered(m model.Model, fl Fleet, cfg Config, topo tier.Topology) (*Histor
 	if err != nil {
 		return nil, err
 	}
-	for {
-		var next []Command
-		for _, cmd := range cmds {
-			switch v := cmd.(type) {
-			case Dispatch:
-				// Child windows run sequentially in dispatch order (the
-				// determinism rule); virtual time still overlaps them,
-				// since every leg is priced relative to the window start.
-				r, err := d.serveChild(root, v)
-				if err != nil {
-					return nil, err
-				}
-				more, err := root.coord.HandleReply(r)
-				if err != nil {
-					return nil, err
-				}
-				next = append(next, more...)
-			case Evaluate:
-				// Only the root measures: the global eval broadcast rides
-				// the device-leg model exactly as in the flat drivers.
-				if d.timed {
-					root.vt.chargeEval(v.WireBytes)
-					root.coord.Tick(root.vt.eng.Now())
-				}
-				more, err := root.coord.EvalDone(simEval(m, fl, v))
-				if err != nil {
-					return nil, err
-				}
-				next = append(next, more...)
-			case AdvanceClock:
-				if d.timed {
-					root.vt.eng.Advance(v.Seconds)
-					root.coord.Tick(root.vt.eng.Now())
-				}
-			case Done:
-				return root.coord.History(), nil
-			}
-		}
-		if len(next) == 0 {
-			return nil, errors.New("core: tiered coordinator stalled with no commands")
-		}
-		cmds = next
+	if _, err := Drive(root.coord, cmds, tierTransport{d, root}); err != nil {
+		return nil, err
 	}
+	return root.coord.History(), nil
 }
 
 // tierNode is one aggregator in the tree: its coordinator, its children
@@ -155,7 +118,8 @@ type tieredRun struct {
 	fl    Fleet
 	cfg   Config
 	topo  tier.Topology
-	dev   *Device // one fleet device runtime shared by every leaf
+	dev   *Device    // one fleet device runtime shared by every leaf
+	pool  *solvePool // the leaves' solve pool
 	seeds *frand.Source
 	timed bool
 
@@ -207,7 +171,7 @@ func (d *tieredRun) buildRoot() (*tierNode, error) {
 		return nil, err
 	}
 	if d.timed {
-		nd.vt = newVtimer(rc.VTime, int64(d.m.NumParams()*8))
+		nd.vt = newVtimer(coord)
 	}
 	return nd, nil
 }
@@ -284,14 +248,21 @@ func (d *tieredRun) buildNode(depth int) (*tierNode, error) {
 		return nil, err
 	}
 	if d.timed {
-		vc := nc.VTime
-		if !nd.leaf {
-			vc = VTimeConfig{Model: d.cfg.VTime.Model}
-		}
-		nd.vt = newVtimer(vc, int64(d.m.NumParams()*8))
+		nd.vt = newVtimer(coord)
+		nd.vt.localEval = true
 	}
-	if err := d.drainStart(nd); err != nil {
+	// Run the aggregator to its first Pause: the round-0 evaluation
+	// chain, answered with the stub.
+	cmds, err := coord.Start()
+	if err != nil {
 		return nil, err
+	}
+	end, err := Drive(coord, cmds, tierTransport{d, nd})
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := end.(Pause); !ok {
+		return nil, errors.New("core: tiered aggregator finished before its first window")
 	}
 	return nd, nil
 }
@@ -314,36 +285,6 @@ func (d *tieredRun) registerChildren(nd *tierNode) error {
 func evalStub() EvalResult {
 	nan := math.NaN()
 	return EvalResult{Loss: nan, Acc: nan, GradVar: nan, B: nan}
-}
-
-// drainStart starts a stepped aggregator and runs it to its first
-// Pause: the round-0 evaluation chain, answered with the stub.
-func (d *tieredRun) drainStart(nd *tierNode) error {
-	cmds, err := nd.coord.Start()
-	if err != nil {
-		return err
-	}
-	for {
-		var next []Command
-		for _, cmd := range cmds {
-			switch cmd.(type) {
-			case Evaluate:
-				more, err := nd.coord.EvalDone(evalStub())
-				if err != nil {
-					return err
-				}
-				next = append(next, more...)
-			case Pause:
-				return nil
-			default:
-				return fmt.Errorf("core: tiered aggregator issued %T before its first window", cmd)
-			}
-		}
-		if len(next) == 0 {
-			return errors.New("core: tiered aggregator stalled before its first window")
-		}
-		cmds = next
-	}
 }
 
 // serveChild executes one parent dispatch against a child aggregator:
@@ -383,11 +324,7 @@ func (d *tieredRun) serveChild(parent *tierNode, v Dispatch) (Reply, error) {
 	if d.timed {
 		up, lost := 0.0, false
 		if d.topo.Model != nil {
-			bytes := parent.coord.paramBytes
-			if r.Update != nil {
-				bytes = r.Update.WireBytes()
-			}
-			up = d.topo.Model.UplinkSeconds(seq, child.uid, bytes)
+			up = d.topo.Model.UplinkSeconds(seq, child.uid, parent.vt.uplinkBytes(r))
 			lost = d.topo.Model.Dropped(seq, child.uid)
 		}
 		r.Timed, r.Seq, r.Rel, r.Lost = true, seq, down+dur+up, lost
@@ -414,58 +351,54 @@ func (d *tieredRun) runWindow(nd *tierNode, view []float64, start float64) (floa
 	if err != nil {
 		return 0, err
 	}
-	for {
-		var dispatches []Dispatch
-		var next []Command
-		ended := false
-		for _, cmd := range cmds {
-			switch v := cmd.(type) {
-			case Dispatch:
-				if nd.leaf {
-					dispatches = append(dispatches, v)
-					continue
-				}
-				r, err := d.serveChild(nd, v)
-				if err != nil {
-					return 0, err
-				}
-				more, err := nd.coord.HandleReply(r)
-				if err != nil {
-					return 0, err
-				}
-				next = append(next, more...)
-			case Evaluate:
-				more, err := nd.coord.EvalDone(evalStub())
-				if err != nil {
-					return 0, err
-				}
-				next = append(next, more...)
-			case AdvanceClock:
-				if d.timed {
-					nd.vt.eng.Advance(v.Seconds)
-					nd.coord.Tick(nd.vt.eng.Now())
-				}
-			case Pause, Done:
-				ended = true
-			}
-		}
-		if len(dispatches) > 0 {
-			if err := d.solveLeaf(nd, dispatches, &next); err != nil {
-				return 0, err
-			}
-		}
-		if ended {
-			if d.timed {
-				return nd.vt.eng.Now() - start, nil
-			}
-			return math.NaN(), nil
-		}
-		if len(next) == 0 {
-			return 0, errors.New("core: tiered window stalled with no commands")
-		}
-		cmds = next
+	if _, err := Drive(nd.coord, cmds, tierTransport{d, nd}); err != nil {
+		return 0, err
 	}
+	if d.timed {
+		return nd.vt.eng.Now() - start, nil
+	}
+	return math.NaN(), nil
 }
+
+// tierTransport serves one aggregator's commands. A leaf edge solves its
+// dispatches on the shared fleet device; the root and interior
+// aggregators serve each dispatch as a child aggregator's window — a
+// nested Drive that ends on the child's Pause. Child windows run
+// sequentially in dispatch order (the determinism rule); virtual time
+// still overlaps them, since every leg is priced relative to the window
+// start. Only the root measures: the global eval broadcast rides the
+// device-leg model exactly as in the flat drivers, while edges answer
+// their evaluations with the stub.
+type tierTransport struct {
+	d  *tieredRun
+	nd *tierNode
+}
+
+func (t tierTransport) Send(ds []Dispatch) ([]Reply, error) {
+	if t.nd.leaf {
+		return t.d.solveLeaf(t.nd, ds)
+	}
+	replies := make([]Reply, len(ds))
+	for i, v := range ds {
+		r, err := t.d.serveChild(t.nd, v)
+		if err != nil {
+			return nil, err
+		}
+		replies[i] = r
+	}
+	return replies, nil
+}
+
+func (t tierTransport) Evaluate(v Evaluate) (EvalResult, error) {
+	if t.nd.coord.tier > 0 {
+		return evalStub(), nil
+	}
+	return simEval(t.d.m, t.d.fl, v), nil
+}
+
+func (t tierTransport) Wait() ([]Command, bool, error) { return nil, false, nil }
+
+func (t tierTransport) clock() *vtimer { return t.nd.vt }
 
 // solveLeaf serves a leaf window's dispatches on the shared fleet
 // device. The edge coordinator speaks local device ids (its slice of
@@ -473,23 +406,18 @@ func (d *tieredRun) runWindow(nd *tierNode, view []float64, start float64) (floa
 // so dispatches are remapped up and replies back down. The mapping is
 // fixed for the run, so the edge-side and device-side codec chains of a
 // device stay in lockstep.
-func (d *tieredRun) solveLeaf(nd *tierNode, ds []Dispatch, next *[]Command) error {
+func (d *tieredRun) solveLeaf(nd *tierNode, ds []Dispatch) ([]Reply, error) {
 	global := make([]Dispatch, len(ds))
 	for i, v := range ds {
 		v.Device += nd.lo
 		global[i] = v
 	}
-	replies, err := runDispatches(d.dev, d.cfg.Parallelism, nd.vt, global)
+	replies, err := serveNow(d.pool, d.dev, nd.vt, global)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for _, r := range replies {
-		r.Device -= nd.lo
-		more, err := nd.coord.HandleReply(r)
-		if err != nil {
-			return err
-		}
-		*next = append(*next, more...)
+	for i := range replies {
+		replies[i].Device -= nd.lo
 	}
-	return nil
+	return replies, nil
 }

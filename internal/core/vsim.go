@@ -1,12 +1,12 @@
 package core
 
-// This file drives the asynchronous aggregation modes (AsyncTotal,
-// Buffered) on the internal/vtime virtual clock. It is a pure driver of
-// the shared core.Coordinator: every protocol decision — device choice,
+// This file is the in-process transport's virtual-time arrival queue,
+// which runs the asynchronous aggregation modes (AsyncTotal, Buffered)
+// on the internal/vtime clock. Every protocol decision — device choice,
 // staleness damping, milestone cadence, the deadline and byte-budget
-// policies — happens in the coordinator; this loop only turns Dispatch
-// commands into local solves whose replies arrive on the seeded event
-// queue in latency order.
+// policies — happens in the coordinator, and the command loop is
+// Drive's; the queue only turns Dispatch commands into local solves
+// whose replies arrive on the seeded event queue in latency order.
 //
 // What the fednet runtime buys with wall-clock liveness the simulator
 // buys back as reproducibility: the same seed always yields the same
@@ -15,8 +15,8 @@ package core
 // goroutine scheduling. Both executors feed the identical coordinator,
 // so their trajectories coincide by construction.
 //
-// Solves run on a bounded worker pool (Config.Parallelism goroutines)
-// underneath the event queue. This cannot perturb the trajectory
+// Solves run on the bounded worker pool synchronous rounds share
+// (Config.Parallelism goroutines), underneath the event queue. This cannot perturb the trajectory
 // because a reply's arrival time is a pure function of the dispatch: the
 // compute leg charges the epochs the device will deterministically run
 // (the dispatch's budget truncation) and the uplink leg charges the
@@ -29,15 +29,13 @@ package core
 // which happens only after its solve was joined.
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
-
-	"fedprox/internal/model"
 )
 
-// solveFuture is one in-flight local solve: the arrival event joins it.
+// solveFuture is one in-flight local solve, joined by its arrival event
+// or, in a synchronous round, by serveNow.
 type solveFuture struct {
 	done chan struct{}
 	r    Reply
@@ -49,19 +47,20 @@ func (f *solveFuture) wait() (Reply, error) {
 	return f.r, f.err
 }
 
-// solvePool runs device solves on a fixed set of worker goroutines.
-// Submission never blocks the event loop: the backlog is sized to the
-// maximum number of in-flight dispatches.
+// solvePool runs device solves on a fixed set of worker goroutines
+// (workers <= 0 means GOMAXPROCS). Submission never blocks the event
+// loop: the backlog is sized to the maximum number of in-flight
+// dispatches.
 type solvePool struct {
 	work chan func()
 	wg   sync.WaitGroup
 }
 
-func newSolvePool(workers, backlog int) *solvePool {
-	if workers < 1 {
-		workers = 1
+func newSolvePool(workers, inFlight int) *solvePool {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &solvePool{work: make(chan func(), backlog)}
+	p := &solvePool{work: make(chan func(), inFlight+workers)}
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
 		go func() {
@@ -89,138 +88,40 @@ func (p *solvePool) close() {
 	p.wg.Wait()
 }
 
-// runAsyncVTime executes the asynchronous aggregation modes on the
-// virtual clock: up to MaxInFlight devices are in flight at all times,
-// each reply folds (or buffers) damped by its staleness the moment it
-// arrives, and Rounds counts model milestones of roundSize replies each,
-// evaluated on the sync cadence.
-func runAsyncVTime(m model.Model, fl Fleet, cfg Config) (*History, error) {
-	if fl.NumDevices() == 0 {
-		return nil, errors.New("core: vtime async run on an empty network")
-	}
-	coord, dev, err := newSimPair(m, fl, cfg)
-	if err != nil {
-		return nil, err
-	}
-	vt := newVtimer(cfg.VTime, int64(m.NumParams()*8))
-	coord.Tick(vt.eng.Now())
-	lat := cfg.VTime.Model
-
-	// The uplink leg is charged before the solve completes, which is
-	// only sound because every codec's encoded size is a pure function
-	// of the parameter count (asserted against the realized reply at
-	// arrival below).
-	predictedUp := vt.paramBytes
-	if cfg.Codec.Enabled() {
-		_, up := cfg.CommSpecs()
-		predictedUp = up.WireSize(m.NumParams())
-	}
-
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	pool := newSolvePool(workers, cfg.Async.WithDefaults(cfg.ClientsPerRound).MaxInFlight+workers)
-	defer pool.close()
-
-	var (
-		queue  []Command
-		runErr error
-		done   bool
-	)
-	queue, err = coord.Start()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		for len(queue) > 0 && runErr == nil {
-			cmd := queue[0]
-			queue = queue[1:]
-			switch v := cmd.(type) {
-			case Dispatch:
-				// The local solve is handed to the worker pool — the
-				// simulator will know the answer before it is due — and
-				// the reply's arrival is scheduled immediately from the
-				// dispatch alone. In-process shipping cannot fail, so
-				// the transfer is confirmed immediately. The compute leg
-				// charges the epochs the device will actually run: the
-				// budget truncation is deterministic device-side
-				// arithmetic, mirrored here.
-				coord.DispatchSent(v.Device)
-				epochs := v.Epochs
-				if v.EpochBudget > 0 && v.EpochBudget < epochs {
-					epochs = v.EpochBudget
-				}
-				up := predictedUp
-				fut := pool.submit(func() (Reply, error) { return dev.HandleDispatch(v) })
-				sent := vt.eng.Now()
-				arrive := sent +
-					lat.DownlinkSeconds(v.Seq, v.Device, v.DownBytes) +
-					lat.ComputeSeconds(v.Seq, v.Device, epochs) +
-					lat.UplinkSeconds(v.Seq, v.Device, up)
-				// Stamp the reply's own latency: the deadline policy must
-				// judge it, not the clock delta at arrival (an eval charge
-				// can overtake the scheduled arrival time).
-				rel := arrive - sent
-				lost := lat.Dropped(v.Seq, v.Device)
-				seq := v.Seq
-				vt.eng.Schedule(arrive, func() {
-					r, err := fut.wait()
-					if err != nil {
-						if runErr == nil {
-							runErr = err
-						}
-						return
-					}
-					if r.EpochsDone != epochs || vt.uplinkBytes(r) != up {
-						if runErr == nil {
-							runErr = fmt.Errorf("core: vtime arrival charged %d epochs/%d uplink bytes but device %d realized %d/%d",
-								epochs, up, r.Device, r.EpochsDone, vt.uplinkBytes(r))
-						}
-						return
-					}
-					r.Timed = true
-					r.Seq = seq
-					r.Rel = rel
-					r.Lost = lost
-					coord.Tick(vt.eng.Now())
-					more, err := coord.HandleReply(r)
-					if err != nil && runErr == nil {
-						runErr = err
-						return
-					}
-					queue = append(queue, more...)
-				})
-			case Evaluate:
-				// Eval traffic is charged on the virtual clock too, so eval
-				// cadence affects deadlines consistently with the analytic
-				// byte accounting.
-				vt.chargeEval(v.WireBytes)
-				coord.Tick(vt.eng.Now())
-				more, err := coord.EvalDone(simEval(m, fl, v))
-				if err != nil {
-					runErr = err
-					break
-				}
-				queue = append(queue, more...)
-			case Done:
-				done = true
-			case Checkpoint, ObserveLoss, AdvanceClock:
-				// Never emitted for asynchronous schedules.
+// enqueue ships asynchronous dispatches: each local solve is handed to
+// the pool — the simulator will know the answer before it is due — and
+// the reply's arrival is scheduled immediately from the dispatch alone.
+// In-process shipping cannot fail, so the transfer is confirmed at
+// once. The compute leg charges the epochs the device will actually
+// run: the budget truncation is deterministic device-side arithmetic,
+// mirrored here.
+func (t *simTransport) enqueue(ds []Dispatch) {
+	lat := t.vt.lat
+	for _, v := range ds {
+		t.vt.coord.DispatchSent(v.Device)
+		epochs := expectedEpochs(v.EpochBudget, v.Epochs)
+		fut := t.pool.submit(func() (Reply, error) { return t.dev.HandleDispatch(v) })
+		sent := t.vt.eng.Now()
+		arrive := sent +
+			lat.DownlinkSeconds(v.Seq, v.Device, v.DownBytes) +
+			lat.ComputeSeconds(v.Seq, v.Device, epochs) +
+			lat.UplinkSeconds(v.Seq, v.Device, t.predictedUp)
+		// Stamp the reply's own latency: the deadline policy must judge
+		// it, not the clock delta at arrival (an eval charge can overtake
+		// the scheduled arrival time).
+		rel := arrive - sent
+		lost := lat.Dropped(v.Seq, v.Device)
+		t.vt.at(arrive, func() ([]Command, error) {
+			r, err := fut.wait()
+			if err != nil {
+				return nil, err
 			}
-		}
-		if runErr != nil {
-			return nil, runErr
-		}
-		if done {
-			return coord.History(), nil
-		}
-		// Drain semantics: replies arriving after the schedule completed
-		// are waste, recorded in the arrival trace but not the evaluated
-		// history — the coordinator emits Done only once the last
-		// in-flight reply has landed.
-		if !vt.eng.Step() {
-			return nil, errors.New("core: vtime async stalled with no replies in flight")
-		}
+			if up := t.vt.uplinkBytes(r); r.EpochsDone != epochs || up != t.predictedUp {
+				return nil, fmt.Errorf("core: vtime arrival charged %d epochs/%d uplink bytes but device %d realized %d/%d",
+					epochs, t.predictedUp, r.Device, r.EpochsDone, up)
+			}
+			r.Timed, r.Seq, r.Rel, r.Lost = true, v.Seq, rel, lost
+			return t.vt.coord.HandleReply(r)
+		})
 	}
 }

@@ -18,13 +18,13 @@ import (
 // times and folds replies into a version-stamped global model as they
 // arrive, damping each contribution by its staleness alpha/(1+s)^p.
 //
-// All of that logic lives in core.Coordinator; this loop only owns the
-// transport: per-conn reader goroutines route interleaved replies to the
-// aggregator, RequestTimeout and connection errors become WorkerLost
-// events (the worker's devices are evicted and its in-flight work
-// charged as waste, while aggregation continues on the survivors), and
-// Dispatch/Evaluate commands become pipelined TrainRequests and
-// broadcast EvalRequests.
+// All of that logic lives in core.Coordinator, and the command loop is
+// core.Drive's; asyncDriver is only the transport. Per-conn reader
+// goroutines route interleaved replies to it; RequestTimeout and
+// connection errors become WorkerLost events (the worker's devices are
+// evicted and its in-flight work charged as waste, while aggregation
+// continues on the survivors); and Dispatch/Evaluate commands become
+// pipelined TrainRequests and broadcast EvalRequests.
 //
 // Failure is a round trip, not a one-way door: the listener keeps
 // accepting for the whole run, so an evicted worker can reconnect. Its
@@ -60,30 +60,34 @@ type connState struct {
 	dead    bool
 }
 
-// asyncDriver owns the transport state of one asynchronous run.
+// asyncDriver is the asynchronous runs' core.Transport: it owns the
+// connections' reader goroutines, the re-admission accept loop, and the
+// commands the coordinator emitted for transport events (worker losses,
+// re-admissions) until Drive collects them from Wait.
 type asyncDriver struct {
 	s        *Server
+	ln       net.Listener
 	conns    map[*conn]*connState
 	inflight map[int]time.Time // device -> dispatch time, for timeouts
 	replyCh  chan asyncMsg
 	regCh    chan regMsg
 	done     chan struct{}
 	stash    []asyncMsg
+	cmds     []core.Command
 }
 
-// trainAsync runs the asynchronous schedule. The listener stays open so
-// evicted workers can reconnect; it is closed when the run ends.
-func (s *Server) trainAsync(ln net.Listener) (*core.History, error) {
+// startAsync starts the transport of an asynchronous run. The listener
+// stays open so evicted workers can reconnect; stop closes it.
+func (s *Server) startAsync(ln net.Listener) *asyncDriver {
 	d := &asyncDriver{
 		s:        s,
+		ln:       ln,
 		conns:    make(map[*conn]*connState, len(s.conns)),
 		inflight: make(map[int]time.Time),
 		replyCh:  make(chan asyncMsg, len(s.conns)+64),
 		regCh:    make(chan regMsg, 4),
 		done:     make(chan struct{}),
 	}
-	defer close(d.done)
-	defer ln.Close() // stops the re-admission accept loop
 	for _, c := range s.conns {
 		d.conns[c] = &connState{c: c}
 	}
@@ -94,7 +98,19 @@ func (s *Server) trainAsync(ln net.Listener) (*core.History, error) {
 		d.startReader(c)
 	}
 	go d.acceptLoop(ln)
-	return d.run()
+	return d
+}
+
+// stop ends the re-admission accept loop and releases the readers.
+func (d *asyncDriver) stop() {
+	_ = d.ln.Close()
+	close(d.done)
+}
+
+// deliver queues the commands a coordinator event emitted for Wait.
+func (d *asyncDriver) deliver(cmds []core.Command, err error) error {
+	d.cmds = append(d.cmds, cmds...)
+	return err
 }
 
 // startReader routes every inbound envelope of one connection (train and
@@ -152,109 +168,65 @@ func (d *asyncDriver) acceptLoop(ln net.Listener) {
 	}
 }
 
-// run is the aggregator loop: execute coordinator commands, then block
-// for the next transport event and translate it.
-func (d *asyncDriver) run() (*core.History, error) {
-	s := d.s
-	queue, err := s.coord.Start()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		for len(queue) > 0 {
-			cmd := queue[0]
-			queue = queue[1:]
-			switch v := cmd.(type) {
-			case core.Dispatch:
-				more, err := d.dispatch(v)
-				if err != nil {
-					return nil, err
-				}
-				queue = append(queue, more...)
-			case core.Evaluate:
-				res, lost, err := d.evaluate(v)
-				for _, devs := range lost {
-					more, werr := s.coord.WorkerLost(devs)
-					if werr != nil {
-						return nil, werr
-					}
-					queue = append(queue, more...)
-				}
-				if err != nil {
-					return nil, err
-				}
-				more, err := s.coord.EvalDone(res)
-				if err != nil {
-					return nil, err
-				}
-				queue = append(queue, more...)
-			case core.Done:
-				return s.coord.History(), nil
-			default:
-				// Checkpoint/ObserveLoss/AdvanceClock are never emitted
-				// for fednet configurations (rejected by NewServer).
+// Send ships one TrainRequest per dispatch. A send failure means the
+// worker is gone: its devices are evicted (the coordinator charges the
+// in-flight work as waste) and aggregation continues.
+func (d *asyncDriver) Send(ds []core.Dispatch) ([]core.Reply, error) {
+	for _, v := range ds {
+		cs := d.conns[d.s.devices[v.Device].conn]
+		if cs.dead {
+			if err := d.deliver(d.s.coord.WorkerLost([]int{v.Device})); err != nil {
+				return nil, err
 			}
+			continue
 		}
-		more, err := d.waitEvent()
-		if err != nil {
-			return nil, err
+		if err := cs.c.send(Envelope{TrainRequest: newTrainRequest(v)}); err != nil {
+			if err := d.failConn(cs); err != nil {
+				return nil, err
+			}
+			continue
 		}
-		queue = more
+		// Only a confirmed send is billed as traffic and device work.
+		d.s.coord.DispatchSent(v.Device)
+		d.inflight[v.Device] = time.Now()
 	}
+	return nil, nil
 }
 
-// dispatch ships one TrainRequest. A send failure means the worker is
-// gone: its devices are evicted (the coordinator charges the in-flight
-// work as waste) and aggregation continues.
-func (d *asyncDriver) dispatch(v core.Dispatch) ([]core.Command, error) {
-	cs := d.conns[d.s.devices[v.Device].conn]
-	req := TrainRequest{
-		Round:        v.Round,
-		Version:      v.Version,
-		Device:       v.Device,
-		Update:       *v.Update,
-		Epochs:       v.Epochs,
-		EpochBudget:  v.EpochBudget,
-		Mu:           v.Mu,
-		LearningRate: v.LearningRate,
-		BatchSize:    v.BatchSize,
-		BatchSeed:    v.BatchSeed,
-		PrivacyTag:   v.PrivacyTag,
+// Wait hands Drive the commands transport events already produced, or
+// blocks for the next event.
+func (d *asyncDriver) Wait() ([]core.Command, bool, error) {
+	if len(d.cmds) == 0 {
+		if err := d.waitEvent(); err != nil {
+			return nil, true, err
+		}
 	}
-	if cs.dead {
-		return d.s.coord.WorkerLost([]int{v.Device})
-	}
-	if err := cs.c.send(Envelope{TrainRequest: &req}); err != nil {
-		return d.failConn(cs)
-	}
-	// Only a confirmed send is billed as traffic and device work.
-	d.s.coord.DispatchSent(v.Device)
-	d.inflight[v.Device] = time.Now()
-	return nil, nil
+	cmds := d.cmds
+	d.cmds = nil
+	return cmds, true, nil
 }
 
 // failConn evicts a connection: closes it, clears its devices' in-flight
 // bookkeeping, and reports the loss to the coordinator.
-func (d *asyncDriver) failConn(cs *connState) ([]core.Command, error) {
+func (d *asyncDriver) failConn(cs *connState) error {
 	if cs.dead {
-		return nil, nil
+		return nil
 	}
 	cs.dead = true
 	_ = cs.c.close()
 	for _, id := range cs.devices {
 		delete(d.inflight, id)
 	}
-	cmds, err := d.s.coord.WorkerLost(cs.devices)
-	if err != nil {
-		return nil, fmt.Errorf("fednet: async %w", err)
+	if err := d.deliver(d.s.coord.WorkerLost(cs.devices)); err != nil {
+		return fmt.Errorf("fednet: async %w", err)
 	}
-	return cmds, nil
+	return nil
 }
 
 // waitEvent blocks for the next transport event (a stashed message, a
-// reply, a re-registration, or a timeout) and translates it into
-// coordinator events.
-func (d *asyncDriver) waitEvent() ([]core.Command, error) {
+// reply, a re-registration, or a timeout) and delivers it to the
+// coordinator.
+func (d *asyncDriver) waitEvent() error {
 	s := d.s
 	var m asyncMsg
 	if len(d.stash) > 0 {
@@ -276,18 +248,15 @@ func (d *asyncDriver) waitEvent() ([]core.Command, error) {
 		case reg := <-d.regCh:
 			return d.admit(reg)
 		case <-timeout:
-			var cmds []core.Command
 			now := time.Now()
 			for id, at := range d.inflight {
 				if now.Sub(at) >= s.cfg.RequestTimeout {
-					more, err := d.failConn(d.conns[s.devices[id].conn])
-					if err != nil {
-						return nil, err
+					if err := d.failConn(d.conns[s.devices[id].conn]); err != nil {
+						return err
 					}
-					cmds = append(cmds, more...)
 				}
 			}
-			return cmds, nil
+			return nil
 		}
 	}
 
@@ -300,23 +269,24 @@ func (d *asyncDriver) waitEvent() ([]core.Command, error) {
 		// It must not be delivered: after a re-admission the device may
 		// have a fresh in-flight dispatch, and the stale reply would
 		// alias it (decoding old bytes against the new dispatch's view).
-		return nil, nil
+		return nil
 	case m.env.TrainReply != nil:
 		reply := m.env.TrainReply
 		if _, ok := d.inflight[reply.Device]; !ok {
-			return nil, nil // an evicted worker's late reply: drop
+			return nil // an evicted worker's late reply: drop
 		}
 		delete(d.inflight, reply.Device)
-		if reply.Err != "" {
-			return nil, errors.New(reply.Err)
+		r, err := reply.coreReply()
+		if err != nil {
+			return err
 		}
-		return s.coord.HandleReply(core.Reply{Device: reply.Device, Update: &reply.Update, EpochsDone: reply.EpochsDone})
+		return d.deliver(s.coord.HandleReply(r))
 	case m.env.EvalReply != nil:
 		// A late eval reply from a conn that timed out during a previous
 		// evaluation: drop it.
-		return nil, nil
+		return nil
 	default:
-		return nil, fmt.Errorf("fednet: async coordinator received unexpected envelope %+v", m.env)
+		return fmt.Errorf("fednet: async coordinator received unexpected envelope %+v", m.env)
 	}
 }
 
@@ -326,12 +296,12 @@ func (d *asyncDriver) waitEvent() ([]core.Command, error) {
 // run), link state is reset on the coordinator's side, and the Welcome
 // ships the eval chain base so the worker's fresh endpoint decodes in
 // lockstep. A rejected worker gets a Welcome.Err and the run continues.
-func (d *asyncDriver) admit(reg regMsg) ([]core.Command, error) {
+func (d *asyncDriver) admit(reg regMsg) error {
 	s := d.s
 	if msg := s.codecOfferError(reg.hello); msg != "" {
 		_ = reg.c.send(Envelope{Welcome: &Welcome{Err: msg}})
 		_ = reg.c.close()
-		return nil, nil
+		return nil
 	}
 	regs := make([]core.DeviceReg, 0, len(reg.hello.Devices))
 	ids := make([]int, 0, len(reg.hello.Devices))
@@ -345,17 +315,17 @@ func (d *asyncDriver) admit(reg regMsg) ([]core.Command, error) {
 		// mismatch): reject this worker, keep the run alive.
 		_ = reg.c.send(Envelope{Welcome: &Welcome{Err: err.Error()}})
 		_ = reg.c.close()
-		return nil, nil
+		return nil
 	}
+	d.cmds = append(d.cmds, cmds...)
 	welcome := &Welcome{Downlink: s.downSpec, Uplink: s.upSpec, EvalPrev: s.coord.EvalResyncState()}
 	if err := reg.c.send(Envelope{Welcome: welcome}); err != nil {
 		// Admitted but unreachable: evict again immediately.
 		_ = reg.c.close()
-		more, werr := s.coord.WorkerLost(ids)
-		if werr != nil {
-			return nil, fmt.Errorf("fednet: async %w", werr)
+		if err := d.deliver(s.coord.WorkerLost(ids)); err != nil {
+			return fmt.Errorf("fednet: async %w", err)
 		}
-		return append(cmds, more...), nil
+		return nil
 	}
 	cs := &connState{c: reg.c, devices: ids}
 	d.conns[reg.c] = cs
@@ -365,42 +335,31 @@ func (d *asyncDriver) admit(reg regMsg) ([]core.Command, error) {
 	}
 	d.startReader(reg.c)
 	s.emit(obs.Event{Kind: obs.KindWorkerJoin, N: len(ids)})
-	return cmds, nil
+	return nil
 }
 
-// evaluate runs one evaluation broadcast over the live conns, stashing
-// any train replies that arrive meanwhile for the aggregator to process
-// afterwards. Connections that fail mid-evaluation are evicted; their
-// device lists are returned for WorkerLost delivery.
-func (d *asyncDriver) evaluate(v core.Evaluate) (core.EvalResult, [][]int, error) {
+// Evaluate runs one evaluation broadcast over the live conns, stashing
+// any train replies that arrive meanwhile for waitEvent to process
+// afterwards. Connections that fail mid-evaluation are evicted; the
+// metrics are renormalized over the devices that reported.
+func (d *asyncDriver) Evaluate(v core.Evaluate) (core.EvalResult, error) {
 	s := d.s
 	defer obs.StartSpan(s.trace, obs.Event{Label: "fednet-eval", Device: -1}).End()
-	var lost [][]int
-	fail := func(cs *connState) {
-		if cs.dead {
-			return
-		}
-		cs.dead = true
-		_ = cs.c.close()
-		for _, id := range cs.devices {
-			delete(d.inflight, id)
-		}
-		lost = append(lost, cs.devices)
-	}
-
 	waiting := make(map[*conn]bool)
 	for _, cs := range d.conns {
 		if cs.dead {
 			continue
 		}
 		if err := cs.c.send(Envelope{EvalRequest: &EvalRequest{Seq: v.Seq, Update: *v.Update}}); err != nil {
-			fail(cs)
+			if err := d.failConn(cs); err != nil {
+				return core.EvalResult{}, err
+			}
 			continue
 		}
 		waiting[cs.c] = true
 	}
 	if len(waiting) == 0 {
-		return core.EvalResult{}, lost, errors.New("fednet: no live workers to evaluate on")
+		return core.EvalResult{}, errors.New("fednet: no live workers to evaluate on")
 	}
 	var all []DeviceEval
 	deadline := time.Now().Add(s.cfg.RequestTimeout)
@@ -409,19 +368,19 @@ func (d *asyncDriver) evaluate(v core.Evaluate) (core.EvalResult, [][]int, error
 		if s.cfg.RequestTimeout > 0 {
 			timeout = time.After(time.Until(deadline))
 		}
+		var err error
 		select {
 		case m := <-d.replyCh:
 			cs := d.conns[m.c]
 			switch {
 			case m.err != nil:
 				delete(waiting, m.c)
-				fail(cs)
+				err = d.failConn(cs)
 			case m.env.EvalReply != nil:
 				delete(waiting, m.c)
 				if m.env.EvalReply.Err != "" {
-					return core.EvalResult{}, lost, errors.New(m.env.EvalReply.Err)
-				}
-				if !cs.dead {
+					err = errors.New(m.env.EvalReply.Err)
+				} else if !cs.dead {
 					all = append(all, m.env.EvalReply.Devices...)
 				}
 			default:
@@ -429,16 +388,21 @@ func (d *asyncDriver) evaluate(v core.Evaluate) (core.EvalResult, [][]int, error
 			}
 		case <-timeout:
 			for c := range waiting {
-				fail(d.conns[c])
 				delete(waiting, c)
+				if err = d.failConn(d.conns[c]); err != nil {
+					break
+				}
 			}
+		}
+		if err != nil {
+			return core.EvalResult{}, err
 		}
 	}
 	if len(all) == 0 {
-		return core.EvalResult{}, lost, errors.New("fednet: evaluation returned no device metrics")
+		return core.EvalResult{}, errors.New("fednet: evaluation returned no device metrics")
 	}
 	loss, acc := combineEvals(all, s.weights, true)
 	res := core.EvalResult{Loss: loss, Acc: acc}
 	res.WireUplinkBytes, res.WireDownlinkBytes = s.BytesOnWire()
-	return res, lost, nil
+	return res, nil
 }

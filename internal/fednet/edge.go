@@ -3,7 +3,6 @@ package fednet
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"slices"
 	"sort"
@@ -132,9 +131,11 @@ func (e *Edge) RunWithConns(ln net.Listener, parent *conn) error {
 	if err != nil {
 		return err
 	}
-	if done, err := e.window(cmds); err != nil {
+	end, err := core.Drive(e.srv.coord, cmds, syncTransport{s: e.srv, edge: true})
+	if err != nil {
 		return err
-	} else if done {
+	}
+	if _, ok := end.(core.Pause); !ok {
 		return errors.New("fednet: edge coordinator finished before its first window")
 	}
 
@@ -238,71 +239,16 @@ func (e *Edge) train(links *comm.LinkState, req *TrainRequest) TrainReply {
 	}
 	links.SetPrev(req.Device, view)
 	cmds, err := e.srv.coord.Resume(view)
-	if err != nil {
-		reply.Err = err.Error()
-		return reply
+	if err == nil {
+		_, err = core.Drive(e.srv.coord, cmds, syncTransport{s: e.srv, edge: true})
 	}
-	if _, err := e.window(cmds); err != nil {
+	if err != nil {
 		reply.Err = err.Error()
 		return reply
 	}
 	reply.Update = *up.Encode(e.srv.coord.Params(), view)
 	reply.EpochsDone = req.Epochs
 	return reply
-}
-
-// window drives the edge coordinator until it pauses for the next
-// parent broadcast (or finishes its schedule): child dispatches become
-// TrainRequest round-trips, edge-local evaluations are stubbed.
-func (e *Edge) window(cmds []core.Command) (finished bool, err error) {
-	for {
-		var dispatches []core.Dispatch
-		var next []core.Command
-		ended := false
-		for _, cmd := range cmds {
-			switch v := cmd.(type) {
-			case core.Dispatch:
-				dispatches = append(dispatches, v)
-			case core.Evaluate:
-				// The parent owns real evaluation (it reaches this subtree
-				// through EvalRequest forwarding); the edge-local schedule's
-				// own evaluations are answered with NaN so its History never
-				// pretends to hold global metrics.
-				more, err := e.srv.coord.EvalDone(core.EvalResult{Loss: math.NaN(), Acc: math.NaN()})
-				if err != nil {
-					return false, err
-				}
-				next = append(next, more...)
-			case core.Pause:
-				ended = true
-			case core.Done:
-				ended, finished = true, true
-			default:
-				// Checkpoint/ObserveLoss/AdvanceClock are never emitted for
-				// edge configurations (rejected or disabled by NewEdge).
-			}
-		}
-		if len(dispatches) > 0 {
-			replies, err := e.srv.roundTripAll(dispatches)
-			if err != nil {
-				return false, err
-			}
-			for _, r := range replies {
-				more, err := e.srv.coord.HandleReply(r)
-				if err != nil {
-					return false, err
-				}
-				next = append(next, more...)
-			}
-		}
-		if ended {
-			return finished, nil
-		}
-		if len(next) == 0 && len(dispatches) == 0 {
-			return false, errors.New("fednet: edge coordinator stalled with no commands")
-		}
-		cmds = next
-	}
 }
 
 // eval serves one parent EvalRequest: decode the broadcast on the

@@ -1,13 +1,18 @@
 package fednet
 
 import (
+	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"fedprox/internal/core"
 	"fedprox/internal/data"
+	"fedprox/internal/frand"
+	"fedprox/internal/model"
+	"fedprox/internal/solver"
 )
 
 // stubWorker registers shards like a real worker, then misbehaves:
@@ -181,6 +186,36 @@ func TestShutdownReleasesWorkers(t *testing.T) {
 		}
 		if len(hist.Points) == 0 {
 			t.Fatalf("%s: empty history", core.Label(cfg))
+		}
+	}
+}
+
+// shortSolver is a faulty worker-side solver: its solution is one
+// coordinate short of the model.
+type shortSolver struct{}
+
+func (shortSolver) Name() string { return "sgd" }
+
+func (shortSolver) Solve(_ model.Model, _ []data.Example, w0 []float64, _ solver.Config, _ int, _ *frand.Source) []float64 {
+	return append([]float64(nil), w0[:len(w0)-1]...)
+}
+
+// TestWrongLengthReplyFailsRun: a worker whose update has the wrong
+// dimension fails the run with an error naming the device and both
+// lengths, in both aggregation disciplines — it never panics the
+// coordinator.
+func TestWrongLengthReplyFailsRun(t *testing.T) {
+	fed, mdl := testWorkload()
+	for _, cfg := range []core.Config{syncCfg(), asyncCfg()} {
+		_, err := RunLoopback(mdl, fed, ServerConfig{Training: cfg, ExpectDevices: fed.NumDevices()},
+			[]solver.LocalSolver{shortSolver{}, nil, nil})
+		if err == nil {
+			t.Fatalf("%s: short reply accepted", core.Label(cfg))
+		}
+		for _, want := range []string{"device ", fmt.Sprint(mdl.NumParams() - 1), fmt.Sprint(mdl.NumParams())} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not name the device and both lengths", core.Label(cfg), err)
+			}
 		}
 	}
 }

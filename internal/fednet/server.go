@@ -193,10 +193,20 @@ func (s *Server) RunWithListener(ln net.Listener) (*core.History, error) {
 		return nil, err
 	}
 	s.weights = s.deviceWeights()
+	var t core.Transport = syncTransport{s: s}
 	if s.cfg.Training.Async.Enabled() {
-		return s.trainAsync(ln)
+		d := s.startAsync(ln)
+		defer d.stop()
+		t = d
 	}
-	return s.train()
+	cmds, err := s.coord.Start()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := core.Drive(s.coord, cmds, t); err != nil {
+		return nil, err
+	}
+	return s.coord.History(), nil
 }
 
 // acceptAll accepts worker connections until every expected device has
@@ -306,61 +316,29 @@ func (s *Server) shutdownWorkers() {
 	}
 }
 
-// train drives the coordinator's synchronous schedule: each batch of
-// Dispatch commands becomes one round of concurrent TrainRequest
-// round-trips, and Evaluate commands become distributed evaluation
-// broadcasts. Any worker failure fails the run — the synchronous
-// protocol cannot continue without its devices.
-func (s *Server) train() (*core.History, error) {
-	cmds, err := s.coord.Start()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var dispatches []core.Dispatch
-		var next []core.Command
-		for _, cmd := range cmds {
-			switch v := cmd.(type) {
-			case core.Dispatch:
-				dispatches = append(dispatches, v)
-			case core.Evaluate:
-				// The synchronous path never renormalizes: all devices
-				// report or the run fails, and dividing by the full weight
-				// sum would perturb the bit-reproducible trajectory.
-				res, err := s.evaluate(v, false)
-				if err != nil {
-					return nil, err
-				}
-				more, err := s.coord.EvalDone(res)
-				if err != nil {
-					return nil, err
-				}
-				next = append(next, more...)
-			case core.Done:
-				return s.coord.History(), nil
-			default:
-				// Checkpoint/ObserveLoss/AdvanceClock are never emitted
-				// for fednet configurations (rejected by NewServer).
-			}
-		}
-		if len(dispatches) > 0 {
-			replies, err := s.roundTripAll(dispatches)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range replies {
-				more, err := s.coord.HandleReply(r)
-				if err != nil {
-					return nil, err
-				}
-				next = append(next, more...)
-			}
-		} else if len(next) == 0 {
-			return nil, errors.New("fednet: coordinator stalled with no commands")
-		}
-		cmds = next
-	}
+// syncTransport runs the synchronous protocol over TCP: each batch of
+// dispatches becomes one round of concurrent TrainRequest round-trips,
+// and any worker failure fails the run — the synchronous protocol
+// cannot continue without its devices. Evaluations are distributed
+// broadcasts, except on a tier edge: its parent owns real evaluation
+// (and reaches the subtree through EvalRequest forwarding), so the
+// edge-local schedule's own evaluations are answered with NaN and its
+// History never pretends to hold global metrics.
+type syncTransport struct {
+	s    *Server
+	edge bool
 }
+
+func (t syncTransport) Send(ds []core.Dispatch) ([]core.Reply, error) { return t.s.roundTripAll(ds) }
+
+func (t syncTransport) Evaluate(v core.Evaluate) (core.EvalResult, error) {
+	if t.edge {
+		return core.EvalResult{Loss: math.NaN(), Acc: math.NaN()}, nil
+	}
+	return t.s.evaluate(v)
+}
+
+func (syncTransport) Wait() ([]core.Command, bool, error) { return nil, false, nil }
 
 // roundTripAll executes one round's dispatches concurrently (one
 // goroutine per device, serialized per shared connection by the conn's
@@ -376,35 +354,20 @@ func (s *Server) roundTripAll(dispatches []core.Dispatch) ([]core.Reply, error) 
 		wg.Add(1)
 		go func(i int, d core.Dispatch) {
 			defer wg.Done()
-			dev := s.devices[d.Device]
-			req := TrainRequest{
-				Round:        d.Round,
-				Version:      d.Version,
-				Device:       d.Device,
-				Update:       *d.Update,
-				Epochs:       d.Epochs,
-				EpochBudget:  d.EpochBudget,
-				Mu:           d.Mu,
-				LearningRate: d.LearningRate,
-				BatchSize:    d.BatchSize,
-				BatchSeed:    d.BatchSeed,
-				PrivacyTag:   d.PrivacyTag,
-			}
-			env, err := s.roundTrip(dev.conn, Envelope{TrainRequest: &req})
+			env, err := s.roundTrip(s.devices[d.Device].conn, Envelope{TrainRequest: newTrainRequest(d)})
 			if err != nil {
 				results[i] = result{err: err}
 				return
 			}
-			reply := env.TrainReply
-			if reply == nil {
+			if env.TrainReply == nil {
 				results[i] = result{err: fmt.Errorf("fednet: expected TrainReply, got %+v", env)}
 				return
 			}
-			if reply.Err != "" {
-				results[i] = result{err: errors.New(reply.Err)}
-				return
+			r, err := env.TrainReply.coreReply()
+			if err == nil && r.Device != d.Device {
+				err = fmt.Errorf("fednet: reply names device %d", r.Device)
 			}
-			results[i] = result{reply: core.Reply{Device: d.Device, Update: &reply.Update, EpochsDone: reply.EpochsDone}}
+			results[i] = result{reply: r, err: err}
 		}(i, d)
 	}
 	wg.Wait()
@@ -441,16 +404,15 @@ func (s *Server) roundTrip(c *conn, e Envelope) (Envelope, error) {
 // evaluate gathers distributed metrics for one Evaluate command and
 // combines them exactly as internal/metrics does (ascending-device
 // weighted sum), so losses match the simulator bit for bit. The global
-// model travels encoded on the shared eval link. With renormalize set,
-// the per-device weights are rescaled by the reporting mass, which keeps
-// the metrics meaningful when the asynchronous modes lose workers
-// mid-run.
-func (s *Server) evaluate(v core.Evaluate, renormalize bool) (core.EvalResult, error) {
+// model travels encoded on the shared eval link. The synchronous path
+// never renormalizes: all devices report or the run fails, and dividing
+// by the full weight sum would perturb the bit-reproducible trajectory.
+func (s *Server) evaluate(v core.Evaluate) (core.EvalResult, error) {
 	all, err := s.gatherEvals(v)
 	if err != nil {
 		return core.EvalResult{}, err
 	}
-	loss, acc := combineEvals(all, s.weights, renormalize)
+	loss, acc := combineEvals(all, s.weights, false)
 	res := core.EvalResult{Loss: loss, Acc: acc}
 	res.WireUplinkBytes, res.WireDownlinkBytes = s.BytesOnWire()
 	return res, nil

@@ -32,6 +32,7 @@ package fednet
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -137,6 +138,51 @@ type TrainReply struct {
 	EpochsDone int
 	// Err carries a worker-side failure description ("" on success).
 	Err string
+}
+
+// newTrainRequest is the wire form of a coordinator dispatch — the one
+// mapping every coordinator-side transport (sync, async, edge) ships.
+func newTrainRequest(d core.Dispatch) *TrainRequest {
+	return &TrainRequest{
+		Round:        d.Round,
+		Version:      d.Version,
+		Device:       d.Device,
+		Update:       *d.Update,
+		Epochs:       d.Epochs,
+		EpochBudget:  d.EpochBudget,
+		Mu:           d.Mu,
+		LearningRate: d.LearningRate,
+		BatchSize:    d.BatchSize,
+		BatchSeed:    d.BatchSeed,
+		PrivacyTag:   d.PrivacyTag,
+	}
+}
+
+// dispatch is the inverse of newTrainRequest: the device runtime's view
+// of a received request.
+func (req *TrainRequest) dispatch() core.Dispatch {
+	return core.Dispatch{
+		Round:        req.Round,
+		Version:      req.Version,
+		Device:       req.Device,
+		Epochs:       req.Epochs,
+		EpochBudget:  req.EpochBudget,
+		Mu:           req.Mu,
+		LearningRate: req.LearningRate,
+		BatchSize:    req.BatchSize,
+		BatchSeed:    req.BatchSeed,
+		PrivacyTag:   req.PrivacyTag,
+		Update:       &req.Update,
+	}
+}
+
+// coreReply converts a received TrainReply into the coordinator's reply
+// event, surfacing a worker-reported failure as an error.
+func (r *TrainReply) coreReply() (core.Reply, error) {
+	if r.Err != "" {
+		return core.Reply{}, errors.New(r.Err)
+	}
+	return core.Reply{Device: r.Device, Update: &r.Update, EpochsDone: r.EpochsDone}, nil
 }
 
 // EvalRequest asks a worker to evaluate the global model on every shard

@@ -194,19 +194,7 @@ func (w *Worker) Serve(c *conn) error {
 func (w *Worker) train(req *TrainRequest) TrainReply {
 	defer obs.StartSpan(w.trace, obs.Event{Label: "worker-solve", Device: req.Device}).End()
 	reply := TrainReply{Round: req.Round, Version: req.Version, Device: req.Device}
-	r, err := w.dev.HandleDispatch(core.Dispatch{
-		Round:        req.Round,
-		Version:      req.Version,
-		Device:       req.Device,
-		Epochs:       req.Epochs,
-		EpochBudget:  req.EpochBudget,
-		Mu:           req.Mu,
-		LearningRate: req.LearningRate,
-		BatchSize:    req.BatchSize,
-		BatchSeed:    req.BatchSeed,
-		PrivacyTag:   req.PrivacyTag,
-		Update:       &req.Update,
-	})
+	r, err := w.dev.HandleDispatch(req.dispatch())
 	if err != nil {
 		reply.Err = err.Error()
 		return reply
