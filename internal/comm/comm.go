@@ -317,7 +317,7 @@ func (u *Update) WireBytes() int64 {
 }
 
 // check validates the envelope fields every decoder shares.
-func (u *Update) check(codec string, prev []float64) error {
+func check[F tensor.Float](u *Update, codec string, prev []F) error {
 	if u.Codec != codec {
 		return fmt.Errorf("comm: update encoded with %q, decoding with %q", u.Codec, codec)
 	}
@@ -331,7 +331,7 @@ func (u *Update) check(codec string, prev []float64) error {
 // straight from (and decode straight to) float32 vectors, with no
 // widening copy in between. The raw, delta, and qsgd families implement
 // it; an f32 Spec only ever constructs codecs that do (Validate rejects
-// the rest), which is what As32 relies on.
+// the rest), which is what Encode and Decode rely on.
 type Codec32 interface {
 	Codec
 	// Encode32 is Encode from a float32 vector; the resulting Update
@@ -339,31 +339,32 @@ type Codec32 interface {
 	// scale).
 	Encode32(params, prev []float32) *Update
 	// Decode32 is Decode into a pooled float32 vector (hand back with
-	// tensor.PutVec32 when not retained).
+	// tensor.PutVec when not retained).
 	Decode32(u *Update, prev []float32) ([]float32, error)
 }
 
-// As32 returns c's float32 fast path, or an error naming the codec when
-// it has none.
-func As32(c Codec) (Codec32, error) {
-	if c32, ok := c.(Codec32); ok {
-		return c32, nil
+// Encode runs c at width F: Codec.Encode at float64, Codec32.Encode32 at
+// float32. At float32 c must implement Codec32, as every codec an f32
+// Spec constructs does.
+func Encode[F tensor.Float](c Codec, params, prev []F) *Update {
+	if p32, ok := any(params).([]float32); ok {
+		return c.(Codec32).Encode32(p32, any(prev).([]float32))
 	}
-	return nil, fmt.Errorf("comm: codec %q has no f32 path", c.Name())
+	return c.Encode(any(params).([]float64), any(prev).([]float64))
 }
 
-// check32 validates the envelope fields every f32 decoder shares.
-func (u *Update) check32(codec string, prev []float32) error {
-	if u.Codec != codec {
-		return fmt.Errorf("comm: update encoded with %q, decoding with %q", u.Codec, codec)
+// Decode runs c at width F: Codec.Decode at float64, Codec32.Decode32 at
+// float32 (where c must implement Codec32, as for Encode).
+func Decode[F tensor.Float](c Codec, u *Update, prev []F) ([]F, error) {
+	if p32, ok := any(prev).([]float32); ok {
+		v, err := c.(Codec32).Decode32(u, p32)
+		return any(v).([]F), err
 	}
-	if prev != nil && len(prev) != u.N {
-		return fmt.Errorf("comm: update has %d params, link state has %d", u.N, len(prev))
-	}
-	return nil
+	v, err := c.Decode(u, any(prev).([]float64))
+	return any(v).([]F), err
 }
 
-// rawCodec ships float64 parameters verbatim.
+// rawCodec ships parameters verbatim, at the link's width.
 type rawCodec struct{}
 
 func (rawCodec) Name() string { return "raw" }
@@ -372,31 +373,28 @@ func (rawCodec) Encode(params, _ []float64) *Update {
 	return &Update{Codec: "raw", N: len(params), Dense: append([]float64(nil), params...)}
 }
 
-func (rawCodec) Decode(u *Update, prev []float64) ([]float64, error) {
-	if err := u.check("raw", prev); err != nil {
-		return nil, err
-	}
-	if len(u.Dense) != u.N {
-		return nil, fmt.Errorf("comm: raw payload has %d values, header says %d", len(u.Dense), u.N)
-	}
-	out := tensor.GetVec(u.N)
-	copy(out, u.Dense)
-	return out, nil
-}
-
 func (rawCodec) Encode32(params, _ []float32) *Update {
 	return &Update{Codec: "raw", N: len(params), Dense32: append([]float32(nil), params...)}
 }
 
+func (rawCodec) Decode(u *Update, prev []float64) ([]float64, error) {
+	return rawDecode(u, u.Dense, prev)
+}
+
 func (rawCodec) Decode32(u *Update, prev []float32) ([]float32, error) {
-	if err := u.check32("raw", prev); err != nil {
+	return rawDecode(u, u.Dense32, prev)
+}
+
+// rawDecode copies the dense payload of u's width into a pooled vector.
+func rawDecode[F tensor.Float](u *Update, payload, prev []F) ([]F, error) {
+	if err := check(u, "raw", prev); err != nil {
 		return nil, err
 	}
-	if len(u.Dense32) != u.N {
-		return nil, fmt.Errorf("comm: raw f32 payload has %d values, header says %d", len(u.Dense32), u.N)
+	if len(payload) != u.N {
+		return nil, fmt.Errorf("comm: raw %T payload has %d values, header says %d", F(0), len(payload), u.N)
 	}
-	out := tensor.GetVec32(u.N)
-	copy(out, u.Dense32)
+	out := tensor.Vecs[F]().Get(u.N)
+	copy(out, payload)
 	return out, nil
 }
 
@@ -411,68 +409,48 @@ type deltaCodec struct {
 func (c *deltaCodec) Name() string { return c.name }
 
 func (c *deltaCodec) Encode(params, prev []float64) *Update {
+	return deltaEncode(c, params, prev)
+}
+
+func (c *deltaCodec) Encode32(params, prev []float32) *Update {
+	return deltaEncode(c, params, prev)
+}
+
+func (c *deltaCodec) Decode(u *Update, prev []float64) ([]float64, error) {
+	return deltaDecode(c, u, prev)
+}
+
+func (c *deltaCodec) Decode32(u *Update, prev []float32) ([]float32, error) {
+	return deltaDecode(c, u, prev)
+}
+
+func deltaEncode[F tensor.Float](c *deltaCodec, params, prev []F) *Update {
 	// The difference is pure scratch: inner codecs never retain their
 	// input (raw copies it, qsgd/topk extract packed payloads), so it
 	// goes back to the pool before returning.
-	d := tensor.GetVec(len(params))
+	d := tensor.Vecs[F]().Get(len(params))
 	copy(d, params)
-	if prev != nil {
-		for i, p := range prev {
-			d[i] -= p
-		}
+	for i, p := range prev {
+		d[i] -= p
 	}
-	u := c.inner.Encode(d, nil)
+	u := Encode(c.inner, d, nil)
 	u.Codec = c.name
 	tensor.PutVec(d)
 	return u
 }
 
-func (c *deltaCodec) Decode(u *Update, prev []float64) ([]float64, error) {
-	if err := u.check(c.name, prev); err != nil {
+func deltaDecode[F tensor.Float](c *deltaCodec, u *Update, prev []F) ([]F, error) {
+	if err := check(u, c.name, prev); err != nil {
 		return nil, err
 	}
 	iu := *u
 	iu.Codec = c.inner.Name()
-	d, err := c.inner.Decode(&iu, nil)
+	d, err := Decode[F](c.inner, &iu, nil)
 	if err != nil {
 		return nil, err
 	}
-	if prev != nil {
-		for i, p := range prev {
-			d[i] += p
-		}
-	}
-	return d, nil
-}
-
-func (c *deltaCodec) Encode32(params, prev []float32) *Update {
-	d := tensor.GetVec32(len(params))
-	copy(d, params)
-	if prev != nil {
-		for i, p := range prev {
-			d[i] -= p
-		}
-	}
-	u := c.inner.(Codec32).Encode32(d, nil)
-	u.Codec = c.name
-	tensor.PutVec32(d)
-	return u
-}
-
-func (c *deltaCodec) Decode32(u *Update, prev []float32) ([]float32, error) {
-	if err := u.check32(c.name, prev); err != nil {
-		return nil, err
-	}
-	iu := *u
-	iu.Codec = c.inner.Name()
-	d, err := c.inner.(Codec32).Decode32(&iu, nil)
-	if err != nil {
-		return nil, err
-	}
-	if prev != nil {
-		for i, p := range prev {
-			d[i] += p
-		}
+	for i, p := range prev {
+		d[i] += p
 	}
 	return d, nil
 }

@@ -18,9 +18,9 @@ func testVec32(n int, seed uint64) []float32 {
 
 func mustCodec32(t *testing.T, s Spec) Codec32 {
 	t.Helper()
-	c32, err := As32(mustCodec(t, s))
-	if err != nil {
-		t.Fatal(err)
+	c32, ok := mustCodec(t, s).(Codec32)
+	if !ok {
+		t.Fatalf("codec %q has no f32 path", s.Name)
 	}
 	return c32
 }
@@ -155,8 +155,8 @@ func TestQSGD32Deterministic(t *testing.T) {
 // runtime cast and the spec validation must say so, because a silent
 // fall back to f64 would change the wire format mid-link.
 func TestF32PathRejections(t *testing.T) {
-	if _, err := As32(mustCodec(t, Spec{Name: "topk"})); err == nil {
-		t.Fatal("As32 accepted the topk codec")
+	if _, ok := mustCodec(t, Spec{Name: "topk"}).(Codec32); ok {
+		t.Fatal("the topk codec claims an f32 path")
 	}
 	if err := (Spec{Name: "topk", Precision: tensor.F32}).Validate(); err == nil {
 		t.Fatal("Validate accepted a topk spec at f32")

@@ -69,13 +69,24 @@ func (l *LinkState) Link(device int) (down, up Codec, err error) {
 	return l.down[device], l.up[device], nil
 }
 
-// Prev returns the last decoded broadcast delivered on the device's
-// downlink (nil before first contact, or when the downlink codec does
-// not interpret payloads relative to it).
-func (l *LinkState) Prev(device int) []float64 {
+// prevs returns the state's chain map for width F. An endpoint uses
+// either the f64 or the f32 chain, never both — the chains are kept
+// separate so a precision can never silently mix into the other's
+// lockstep state.
+func prevs[F tensor.Float](l *LinkState) map[int][]F {
+	if m, ok := any(l.prev32).(map[int][]F); ok {
+		return m
+	}
+	return any(l.prev).(map[int][]F)
+}
+
+// Prev returns the last decoded width-F broadcast delivered on the
+// device's downlink (nil before first contact, or when the downlink
+// codec does not interpret payloads relative to it).
+func Prev[F tensor.Float](l *LinkState, device int) []F {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.prev[device]
+	return prevs[F](l)[device]
 }
 
 // SetPrev records the decoded broadcast after a downlink transfer. Both
@@ -83,42 +94,17 @@ func (l *LinkState) Prev(device int) []float64 {
 // in lockstep. The view is copied into a per-device buffer the link
 // retains, so callers keep ownership of the slice they pass (and may
 // recycle it).
-func (l *LinkState) SetPrev(device int, view []float64) {
+func SetPrev[F tensor.Float](l *LinkState, device int, view []F) {
 	if l.trackPrev {
 		l.mu.Lock()
-		p := l.prev[device]
+		m := prevs[F](l)
+		p := m[device]
 		if cap(p) < len(view) {
-			p = make([]float64, len(view))
+			p = make([]F, len(view))
 		}
 		p = p[:len(view)]
 		copy(p, view)
-		l.prev[device] = p
-		l.mu.Unlock()
-	}
-}
-
-// Prev32 is Prev for an f32 link: the last decoded float32 broadcast on
-// the device's downlink. An endpoint uses either the f64 or the f32
-// chain, never both — the chains are kept separate so a precision can
-// never silently mix into the other's lockstep state.
-func (l *LinkState) Prev32(device int) []float32 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.prev32[device]
-}
-
-// SetPrev32 is SetPrev for an f32 link; the view is copied into a
-// retained per-device buffer.
-func (l *LinkState) SetPrev32(device int, view []float32) {
-	if l.trackPrev {
-		l.mu.Lock()
-		p := l.prev32[device]
-		if cap(p) < len(view) {
-			p = make([]float32, len(view))
-		}
-		p = p[:len(view)]
-		copy(p, view)
-		l.prev32[device] = p
+		m[device] = p
 		l.mu.Unlock()
 	}
 }

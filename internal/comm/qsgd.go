@@ -244,28 +244,6 @@ func (c *qsgdCodec) checkPacked(u *Update) error {
 	return nil
 }
 
-func (c *qsgdCodec) Decode(u *Update, prev []float64) ([]float64, error) {
-	if err := u.check(c.name, prev); err != nil {
-		return nil, err
-	}
-	if err := c.checkPacked(u); err != nil {
-		return nil, err
-	}
-	s := levels(u.Bits)
-	out := tensor.GetVec(u.N)
-	if u.Scale == 0 {
-		tensor.Zero(out)
-		return out, nil
-	}
-	unit := u.Scale / float64(s)
-	r := newLevelReader(u.Packed, u.Bits, u.N)
-	for i := range out {
-		q := int(r.next()) - s
-		out[i] = float64(q) * unit
-	}
-	return out, nil
-}
-
 // Encode32 quantizes straight from a float32 vector: same level stream
 // draws as Encode (one rng draw per coordinate), but the max-magnitude
 // scale is itself a float32 — it ships in 4 bytes — and no widening copy
@@ -315,27 +293,35 @@ func (c *qsgdCodec) Encode32(v, _ []float32) *Update {
 	return u
 }
 
-// Decode32 reconstructs the quantized vector in float32. The level
-// payload is width-exact either way, so it accepts updates from both
-// Encode32 and Encode (the scale merely narrows on the way in).
+func (c *qsgdCodec) Decode(u *Update, prev []float64) ([]float64, error) {
+	return qsgdDecode(c, u, prev)
+}
+
 func (c *qsgdCodec) Decode32(u *Update, prev []float32) ([]float32, error) {
-	if err := u.check32(c.name, prev); err != nil {
+	return qsgdDecode(c, u, prev)
+}
+
+// qsgdDecode reconstructs the quantized vector at width F. The level
+// payload is width-exact either way, so both widths accept updates from
+// Encode and Encode32 alike (the scale merely rounds to F on the way in).
+func qsgdDecode[F tensor.Float](c *qsgdCodec, u *Update, prev []F) ([]F, error) {
+	if err := check(u, c.name, prev); err != nil {
 		return nil, err
 	}
 	if err := c.checkPacked(u); err != nil {
 		return nil, err
 	}
 	s := levels(u.Bits)
-	out := tensor.GetVec32(u.N)
+	out := tensor.Vecs[F]().Get(u.N)
 	if u.Scale == 0 {
-		tensor.Zero32(out)
+		tensor.Zero(out)
 		return out, nil
 	}
-	unit := float32(u.Scale) / float32(s)
+	unit := F(u.Scale) / F(s)
 	r := newLevelReader(u.Packed, u.Bits, u.N)
 	for i := range out {
 		q := int(r.next()) - s
-		out[i] = float32(q) * unit
+		out[i] = F(q) * unit
 	}
 	return out, nil
 }

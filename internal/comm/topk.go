@@ -137,7 +137,7 @@ func selectTopK(d []float64, order []int, k int) {
 }
 
 func (c *topkCodec) Decode(u *Update, prev []float64) ([]float64, error) {
-	if err := u.check("topk", prev); err != nil {
+	if err := check(u, "topk", prev); err != nil {
 		return nil, err
 	}
 	if len(u.Indices) != len(u.Values) {

@@ -67,105 +67,74 @@ func (l *commLinks) evalPrev() []float64 { return l.eval.PrevView() }
 // codec on first contact, so a parallel solve phase only ever reads the
 // link maps — call broadcast sequentially.
 func (l *commLinks) broadcast(k int, wt []float64) (*comm.Update, []float64, int64, error) {
+	if l.f32 {
+		return broadcastAt[float32](l, k, wt)
+	}
+	return broadcastAt[float64](l, k, wt)
+}
+
+// broadcastAt is broadcast on a width-F wire: the payload and the prev
+// chain live at F. The coordinator's own bookkeeping (the
+// pendingDispatch view the fold subtracts against) stays float64:
+// widening an f32 view is exact, and narrowing it back reproduces the
+// original bits, so the f64 shadow is bit-locked with the device's view.
+func broadcastAt[F tensor.Float](l *commLinks, k int, wt []float64) (*comm.Update, []float64, int64, error) {
 	enc, _, err := l.state.Link(k)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("core: device %d: %w", k, err)
 	}
-	if l.f32 {
-		// f32 deployment: the wire carries float32 payloads and the prev
-		// chain lives in float32. The coordinator's own bookkeeping (the
-		// pendingDispatch view the fold subtracts against) stays float64:
-		// widening an f32 view is exact, and narrowing it back reproduces
-		// the original bits, so the f64 shadow is bit-locked with the
-		// device's f32 view.
-		e32, err := comm.As32(enc)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("core: device %d: %w", k, err)
-		}
-		w32 := tensor.GetVec32(len(wt))
-		tensor.Narrow(w32, wt)
-		prev := l.state.Prev32(k)
-		u := e32.Encode32(w32, prev)
-		view32, err := e32.Decode32(u, prev)
-		tensor.PutVec32(w32)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("core: downlink decode for device %d: %w", k, err)
-		}
-		l.state.SetPrev32(k, view32)
-		view := tensor.GetVec(len(wt))
-		tensor.Widen(view, view32)
-		tensor.PutVec32(view32)
-		return u, view, u.WireBytes(), nil
-	}
-	prev := l.state.Prev(k)
-	u := enc.Encode(wt, prev)
-	view, err := enc.Decode(u, prev)
+	w := tensor.Vecs[F]().Get(len(wt))
+	tensor.Narrow(w, wt)
+	prev := comm.Prev[F](l.state, k)
+	u := comm.Encode(enc, w, prev)
+	tensor.PutVec(w)
+	view, err := comm.Decode(enc, u, prev)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("core: downlink decode for device %d: %w", k, err)
 	}
-	l.state.SetPrev(k, view)
-	return u, view, u.WireBytes(), nil
+	comm.SetPrev(l.state, k, view)
+	return u, tensor.ToVec(view), u.WireBytes(), nil
 }
 
 // uplinkEncode encodes the device's local solution against the broadcast
 // view it trained from, exactly as the worker-side encoder does
-// (advancing the same rounding stream / error-feedback residual). Safe
-// to call concurrently for distinct devices once broadcast has created
-// their codecs.
-func (l *commLinks) uplinkEncode(k int, wk, view []float64) (*comm.Update, error) {
+// (advancing the same rounding stream / error-feedback residual), at the
+// solution's width — no widening copy sits between an f32 solve and the
+// wire. Safe to call concurrently for distinct devices once broadcast
+// has created their codecs.
+func uplinkEncode[F tensor.Float](l *commLinks, k int, wk, view []F) (*comm.Update, error) {
 	_, enc, err := l.state.Link(k)
 	if err != nil {
 		return nil, fmt.Errorf("core: device %d: %w", k, err)
 	}
-	return enc.Encode(wk, view), nil
-}
-
-// uplinkEncode32 is uplinkEncode for an f32 deployment: the device's f32
-// solution is encoded directly against the f32 view it trained from — no
-// widening copy sits between the solve and the wire.
-func (l *commLinks) uplinkEncode32(k int, wk, view tensor.Vec32) (*comm.Update, error) {
-	_, enc, err := l.state.Link(k)
-	if err != nil {
-		return nil, fmt.Errorf("core: device %d: %w", k, err)
-	}
-	e32, err := comm.As32(enc)
-	if err != nil {
-		return nil, fmt.Errorf("core: device %d: %w", k, err)
-	}
-	return e32.Encode32(wk, view), nil
+	return comm.Encode(enc, wk, view), nil
 }
 
 // uplinkDecode reconstructs a device's uplink reply against the
 // broadcast view it trained from. Decoding is stateless.
 func (l *commLinks) uplinkDecode(k int, u *comm.Update, view []float64) ([]float64, error) {
+	if l.f32 {
+		return uplinkDecodeAt[float32](l, k, u, view)
+	}
+	return uplinkDecodeAt[float64](l, k, u, view)
+}
+
+// uplinkDecodeAt is uplinkDecode on a width-F wire. The f64 view is an
+// exact widening of the view the device encoded against; narrowing
+// recovers it bit for bit.
+func uplinkDecodeAt[F tensor.Float](l *commLinks, k int, u *comm.Update, view []float64) ([]float64, error) {
 	_, dec, err := l.state.Link(k)
 	if err != nil {
 		return nil, fmt.Errorf("core: device %d: %w", k, err)
 	}
-	if l.f32 {
-		// The f64 view is an exact widening of the f32 view the device
-		// encoded against; narrowing recovers it bit-for-bit.
-		d32, err := comm.As32(dec)
-		if err != nil {
-			return nil, fmt.Errorf("core: device %d: %w", k, err)
-		}
-		p32 := tensor.GetVec32(len(view))
-		tensor.Narrow(p32, view)
-		got32, err := d32.Decode32(u, p32)
-		tensor.PutVec32(p32)
-		if err != nil {
-			return nil, fmt.Errorf("core: uplink decode for device %d: %w", k, err)
-		}
-		got := tensor.GetVec(len(got32))
-		tensor.Widen(got, got32)
-		tensor.PutVec32(got32)
-		return got, nil
-	}
-	got, err := dec.Decode(u, view)
+	p := tensor.Vecs[F]().Get(len(view))
+	tensor.Narrow(p, view)
+	got, err := comm.Decode(dec, u, p)
+	tensor.PutVec(p)
 	if err != nil {
 		return nil, fmt.Errorf("core: uplink decode for device %d: %w", k, err)
 	}
-	return got, nil
+	return tensor.ToVec(got), nil
 }
 
 // reset discards device k's link state (both directions plus the

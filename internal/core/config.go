@@ -259,21 +259,21 @@ type Config struct {
 	Trace obs.Sink
 	// Precision selects the arithmetic width of the device-side hot path.
 	// The zero value (tensor.F64) is the framework's float64 contract.
-	// tensor.F32 routes the whole per-dispatch pipeline through the
-	// float32 kernels: parameters are narrowed once on arrival, the local
-	// solve (prox term and γ probe included) runs on batched f32 kernels,
-	// and the uplink encodes straight from the f32 solution — wire scales
-	// and dense payloads ship at 4 bytes per word. Results are widened
-	// exactly once at the reply boundary, and evaluation always happens at
-	// full width (the eval link strips precision on both endpoints), so an
-	// f32 run's loss is measured in the same arithmetic as its f64
-	// baseline.
+	// tensor.F32 runs the same per-dispatch pipeline at float32:
+	// parameters are narrowed once on arrival, the local solve (prox term
+	// and γ probe included) runs on batched f32 kernels, and the uplink
+	// encodes straight from the f32 solution — wire scales and dense
+	// payloads ship at 4 bytes per word. Results are widened exactly once
+	// at the reply boundary, and evaluation always happens at full width
+	// (the eval link strips precision on both endpoints), so an f32 run's
+	// loss is measured in the same arithmetic as its f64 baseline.
 	//
 	// F32 requires an f32-capable model (model.Model32) and local solver
 	// (solver.LocalSolver32; nil selects SGD, which is capable), no
 	// Privacy mechanism (the DP hook runs at full width), and no topk
-	// codec — the run is rejected up front rather than silently falling
-	// back, because the wire format is part of the negotiated protocol.
+	// codec — the run is rejected up front with an error rather than
+	// silently falling back, because the wire format is part of the
+	// negotiated protocol.
 	Precision tensor.Precision
 	// VTime, when enabled (non-nil Model), runs the simulation on the
 	// internal/vtime virtual clock: synchronous rounds are charged their
@@ -411,11 +411,8 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	if err := c.Precision.Validate(); err != nil {
+	if err := precisionErr(c.Precision, nil, c.Solver, c.Privacy); err != nil {
 		return err
-	}
-	if c.Precision == tensor.F32 && c.Privacy != nil {
-		return fmt.Errorf("core: Precision f32 cannot be combined with a privacy mechanism (the DP hook runs at full width)")
 	}
 	if c.Codec.Enabled() {
 		// Specs are validated at the run's precision (CommSpecs stamps it

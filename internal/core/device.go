@@ -100,12 +100,12 @@ type DeviceOptions struct {
 	// trace only the coordinator.
 	Trace obs.Sink
 	// Precision selects the dispatch hot path's arithmetic width (see
-	// Config.Precision). tensor.F32 requires a model.Model32 model, a
-	// solver.LocalSolver32 solver, and no Privacy mechanism — the
-	// constructors panic otherwise rather than silently running wide.
-	// InstallLinks overrides it with the wire specs' negotiated
-	// precision: once links exist, the wire format is the single truth
-	// both endpoints must agree on.
+	// Config.Precision). The device runs one dispatch pipeline, generic
+	// over the width; tensor.F32 needs the prerequisites precisionErr
+	// lists, and the constructors panic without them rather than
+	// silently running wide. InstallLinks overrides it with the wire
+	// specs' negotiated precision: once links exist, the wire format is
+	// the single truth both endpoints must agree on.
 	Precision tensor.Precision
 }
 
@@ -150,7 +150,9 @@ func NewDevice(mdl model.Model, shards []*data.Shard, opts DeviceOptions) *Devic
 	if local == nil {
 		local = solver.SGDSolver{}
 	}
-	checkPrecision(mdl, local, opts)
+	if err := precisionErr(opts.Precision, mdl, local, opts.Privacy); err != nil {
+		panic(err)
+	}
 	byID := make(map[int]*data.Shard, len(shards))
 	ids := make([]int, 0, len(shards))
 	for _, s := range shards {
@@ -170,26 +172,30 @@ func NewDevice(mdl model.Model, shards []*data.Shard, opts DeviceOptions) *Devic
 	}
 }
 
-// checkPrecision enforces the f32 hot path's prerequisites at
-// construction time: a silent fall-back to float64 would desynchronize a
-// wire deployment (the negotiated format is part of the protocol), so an
-// impossible combination is a programming error, not a runtime choice.
-func checkPrecision(mdl model.Model, local solver.LocalSolver, opts DeviceOptions) {
-	if opts.Precision != tensor.F32 {
-		if err := opts.Precision.Validate(); err != nil {
-			panic("core: " + err.Error())
-		}
-		return
+// precisionErr reports why a device runtime with this model, local
+// solver (nil selects SGD) and privacy mechanism cannot serve dispatches
+// at width p, or nil when it can. F32 needs the complete float32 path: a
+// model.Model32 model, a solver.LocalSolver32 solver, and no privacy
+// mechanism (the DP hook runs at full width). A silent fall-back to
+// float64 would desynchronize a wire deployment — the negotiated format
+// is part of the protocol — so every layer asks this one function: the
+// device constructors (which panic), InstallLinks, SupportsPrecision,
+// Config.Validate (with a nil model, not known yet) and the in-process
+// entry points, before they build a device.
+func precisionErr(p tensor.Precision, mdl model.Model, local solver.LocalSolver, priv *privacy.Mechanism) error {
+	if err := p.Validate(); err != nil || p != tensor.F32 {
+		return err
 	}
-	if _, ok := mdl.(model.Model32); !ok {
-		panic("core: Precision f32 needs a model implementing model.Model32")
+	if _, ok := mdl.(model.Model32); !ok && mdl != nil {
+		return errors.New("core: Precision f32 needs a model implementing model.Model32")
 	}
-	if _, ok := local.(solver.LocalSolver32); !ok {
-		panic("core: Precision f32 needs a solver implementing solver.LocalSolver32")
+	if _, ok := local.(solver.LocalSolver32); !ok && local != nil {
+		return errors.New("core: Precision f32 needs a solver implementing solver.LocalSolver32")
 	}
-	if opts.Privacy != nil {
-		panic("core: Precision f32 cannot be combined with a privacy mechanism (the DP hook runs at full width)")
+	if priv != nil {
+		return errors.New("core: Precision f32 cannot be combined with a privacy mechanism (the DP hook runs at full width)")
 	}
+	return nil
 }
 
 // NewFleetDevice builds a device runtime hosting every device of a lazy
@@ -205,7 +211,9 @@ func NewFleetDevice(mdl model.Model, fl data.Fleet, opts DeviceOptions) *Device 
 	if local == nil {
 		local = solver.SGDSolver{}
 	}
-	checkPrecision(mdl, local, opts)
+	if err := precisionErr(opts.Precision, mdl, local, opts.Privacy); err != nil {
+		panic(err)
+	}
 	return &Device{
 		mdl:   mdl,
 		fleet: fl,
@@ -258,16 +266,8 @@ func (dv *Device) InstallLinks(down, up comm.Spec) error {
 	// it so the solve runs in the same width the link encodes. A spec
 	// this runtime cannot execute is a negotiation error, reported here
 	// rather than on the first dispatch.
-	if down.Precision == tensor.F32 {
-		if _, ok := dv.mdl.(model.Model32); !ok {
-			return errors.New("core: f32 link specs on a model without a float32 path (model.Model32)")
-		}
-		if _, ok := dv.local.(solver.LocalSolver32); !ok {
-			return errors.New("core: f32 link specs on a solver without a float32 path (solver.LocalSolver32)")
-		}
-		if dv.priv != nil {
-			return errors.New("core: f32 link specs on a runtime with a privacy mechanism (the DP hook runs at full width)")
-		}
+	if err := precisionErr(down.Precision, dv.mdl, dv.local, dv.priv); err != nil {
+		return err
 	}
 	dv.prec = down.Precision
 	dv.links = links
@@ -275,16 +275,10 @@ func (dv *Device) InstallLinks(down, up comm.Spec) error {
 }
 
 // SupportsPrecision reports whether this runtime can execute dispatches
-// at the given width — what a fednet worker consults to build its Hello
-// precision offer. F32 needs the complete float32 path: a Model32 model,
-// a LocalSolver32 solver, and no privacy mechanism.
+// at the given width (see precisionErr) — what a fednet worker consults
+// to build its Hello precision offer.
 func (dv *Device) SupportsPrecision(p tensor.Precision) bool {
-	if p != tensor.F32 {
-		return p.Validate() == nil
-	}
-	_, mok := dv.mdl.(model.Model32)
-	_, sok := dv.local.(solver.LocalSolver32)
-	return mok && sok && dv.priv == nil
+	return precisionErr(p, dv.mdl, dv.local, dv.priv) == nil
 }
 
 // SeedEvalPrev installs an eval chain base received from the server — a
@@ -335,8 +329,17 @@ func (d Dispatch) SolverConfig() solver.Config {
 // actually run in EpochsDone.
 func (dv *Device) HandleDispatch(d Dispatch) (Reply, error) {
 	if dv.prec == tensor.F32 {
-		return dv.handleDispatch32(d)
+		return dispatch[float32](dv, d)
 	}
+	return dispatch[float64](dv, d)
+}
+
+// dispatch is HandleDispatch at width F: the broadcast is decoded (or
+// narrowed) into a width-F view once, the whole solve — prox term and γ
+// probe included — runs at F, and the uplink encodes straight from the
+// width-F solution. The only widening is at the reply boundary of
+// link-less runtimes, where Reply.Params keeps its float64 contract.
+func dispatch[F tensor.Float](dv *Device, d Dispatch) (Reply, error) {
 	shard, releaseShard, err := dv.shardFor(d.Device)
 	if err != nil {
 		return Reply{}, err
@@ -344,8 +347,9 @@ func (dv *Device) HandleDispatch(d Dispatch) (Reply, error) {
 	if releaseShard != nil {
 		defer releaseShard()
 	}
-	view := d.View
-	if d.Update != nil {
+	var view []F
+	switch {
+	case d.Update != nil:
 		if dv.links == nil {
 			return Reply{}, fmt.Errorf("core: encoded dispatch for device %d on a runtime without links", d.Device)
 		}
@@ -353,20 +357,25 @@ func (dv *Device) HandleDispatch(d Dispatch) (Reply, error) {
 		if err != nil {
 			return Reply{}, err
 		}
-		v, err := dec.Decode(d.Update, dv.links.state.Prev(d.Device))
-		if err != nil {
+		if view, err = comm.Decode(dec, d.Update, comm.Prev[F](dv.links.state, d.Device)); err != nil {
 			return Reply{}, err
 		}
-		view = v
-	}
-	if view == nil {
+	case d.View != nil:
+		// In-process dispatch: copy (narrow) the driver's view once;
+		// every step downstream runs at F.
+		view = tensor.Vecs[F]().Get(len(d.View))
+		tensor.Narrow(view, d.View)
+	default:
 		return Reply{}, errors.New("core: dispatch carries neither an encoded update nor a decoded view")
 	}
+	// The view is this dispatch's scratch: SetPrev copies it into the
+	// link's own shadow.
+	defer tensor.PutVec(view)
 	if len(view) != dv.mdl.NumParams() {
 		return Reply{}, fmt.Errorf("core: parameter length %d != model %d", len(view), dv.mdl.NumParams())
 	}
 	if d.Update != nil {
-		dv.links.state.SetPrev(d.Device, view)
+		comm.SetPrev(dv.links.state, d.Device, view)
 	}
 
 	// Variable local work: the device, not the server, decides how much
@@ -378,130 +387,28 @@ func (dv *Device) HandleDispatch(d Dispatch) (Reply, error) {
 		epochs = d.EpochBudget
 	}
 	scfg := d.SolverConfig()
-	wk := dv.local.Solve(dv.mdl, shard.Train, view, scfg, epochs, frand.New(d.BatchSeed))
+	wk := solver.Solve(dv.local, dv.mdl, shard.Train, view, scfg, epochs, frand.New(d.BatchSeed))
 	if dv.priv != nil {
-		dv.priv.Apply(wk, view, d.PrivacyTag, d.Device)
+		// precisionErr keeps privacy off the f32 path, so F is float64.
+		dv.priv.Apply(any(wk).([]float64), any(view).([]float64), d.PrivacyTag, d.Device)
 	}
 	r := Reply{Device: d.Device, EpochsDone: epochs}
-	if dv.links != nil {
-		u, err := dv.links.uplinkEncode(d.Device, wk, view)
-		if err != nil {
-			return Reply{}, err
-		}
-		r.Update = u
-	} else {
-		r.Params = wk
-	}
 	if dv.gamma {
 		// γ measures the (post-privacy) local solution against the
 		// broadcast the device received, before any uplink loss.
 		r.Gamma = solver.Gamma(dv.mdl, shard.Train, wk, view, scfg)
 	}
-	if dv.trace != nil {
-		down := d.DownBytes
-		if d.Update != nil {
-			down = d.Update.WireBytes()
-		}
-		var up int64
-		if r.Update != nil {
-			up = r.Update.WireBytes()
-		}
-		dv.emit(obs.Event{
-			Kind: obs.KindDeviceDispatch, Round: d.Round, Seq: d.Seq, Device: d.Device,
-			EpochsDone: epochs, BytesUp: up, BytesDown: down,
-		})
-	}
-	// Recycle per-dispatch scratch. A locally decoded view is dead here
-	// (SetPrev copied it into the link's own shadow); the raw solution is
-	// dead once it left as an encoded Update. When the Reply carries
-	// Params instead, ownership of wk moves to the caller.
-	if d.Update != nil {
-		tensor.PutVec(view)
-	}
 	if dv.links != nil {
+		// The solution is dead once it left as an encoded Update.
+		u, err := uplinkEncode(dv.links, d.Device, wk, view)
 		tensor.PutVec(wk)
-	}
-	return r, nil
-}
-
-// handleDispatch32 is HandleDispatch on the float32 fast path: the
-// broadcast is decoded (or narrowed) into a Vec32 once, the whole solve —
-// prox term and γ probe included — runs on the f32 kernels, and the
-// uplink encodes straight from the f32 solution. The only widening is at
-// the reply boundary of link-less runtimes, where Reply.Params keeps its
-// float64 contract.
-func (dv *Device) handleDispatch32(d Dispatch) (Reply, error) {
-	m32, mok := dv.mdl.(model.Model32)
-	s32, sok := dv.local.(solver.LocalSolver32)
-	if !mok || !sok || dv.priv != nil {
-		// Unreachable through the constructors/InstallLinks guards; kept
-		// as a defensive check for direct field manipulation in tests.
-		return Reply{}, errors.New("core: f32 dispatch on a runtime without a complete float32 path")
-	}
-	shard, releaseShard, err := dv.shardFor(d.Device)
-	if err != nil {
-		return Reply{}, err
-	}
-	if releaseShard != nil {
-		defer releaseShard()
-	}
-	var view32 tensor.Vec32
-	switch {
-	case d.Update != nil:
-		if dv.links == nil {
-			return Reply{}, fmt.Errorf("core: encoded dispatch for device %d on a runtime without links", d.Device)
-		}
-		dec, _, err := dv.links.state.Link(d.Device)
-		if err != nil {
-			return Reply{}, err
-		}
-		d32, err := comm.As32(dec)
-		if err != nil {
-			return Reply{}, err
-		}
-		v, err := d32.Decode32(d.Update, dv.links.state.Prev32(d.Device))
-		if err != nil {
-			return Reply{}, err
-		}
-		view32 = v
-	case d.View != nil:
-		// In-process dispatch: narrow the driver's f64 view once; every
-		// step downstream runs at f32.
-		view32 = tensor.GetVec32(len(d.View))
-		tensor.Narrow(view32, d.View)
-	default:
-		return Reply{}, errors.New("core: dispatch carries neither an encoded update nor a decoded view")
-	}
-	if len(view32) != dv.mdl.NumParams() {
-		tensor.PutVec32(view32)
-		return Reply{}, fmt.Errorf("core: parameter length %d != model %d", len(view32), dv.mdl.NumParams())
-	}
-	if d.Update != nil {
-		dv.links.state.SetPrev32(d.Device, view32)
-	}
-
-	epochs := d.Epochs
-	if d.EpochBudget > 0 && d.EpochBudget < epochs {
-		epochs = d.EpochBudget
-	}
-	scfg := d.SolverConfig()
-	scfg.Precision = tensor.F32
-	wk32 := s32.Solve32(m32, shard.Train, view32, scfg, epochs, frand.New(d.BatchSeed))
-	r := Reply{Device: d.Device, EpochsDone: epochs}
-	if dv.links != nil {
-		u, err := dv.links.uplinkEncode32(d.Device, wk32, view32)
 		if err != nil {
 			return Reply{}, err
 		}
 		r.Update = u
 	} else {
-		// The reply boundary is the one widening of the path.
-		out := tensor.GetVec(len(wk32))
-		tensor.Widen(out, wk32)
-		r.Params = out
-	}
-	if dv.gamma {
-		r.Gamma = solver.Gamma32(m32, shard.Train, wk32, view32, scfg)
+		// Ownership of the solution moves to the caller.
+		r.Params = tensor.ToVec(wk)
 	}
 	if dv.trace != nil {
 		down := d.DownBytes
@@ -517,8 +424,6 @@ func (dv *Device) handleDispatch32(d Dispatch) (Reply, error) {
 			EpochsDone: epochs, BytesUp: up, BytesDown: down,
 		})
 	}
-	tensor.PutVec32(view32)
-	tensor.PutVec32(wk32)
 	return r, nil
 }
 

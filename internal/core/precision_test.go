@@ -1,12 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"fedprox/internal/comm"
+	"fedprox/internal/model"
 	"fedprox/internal/privacy"
+	"fedprox/internal/solver"
 	"fedprox/internal/tensor"
+	"fedprox/internal/tier"
 	"fedprox/internal/vtime"
 )
 
@@ -116,6 +121,88 @@ func TestF32DeviceConstructorPanics(t *testing.T) {
 		Precision: tensor.F32,
 		Privacy:   &privacy.Mechanism{ClipNorm: 1, NoiseStd: 0.1, Seed: 2},
 	})
+}
+
+// modelOnly hides a model's float32 path.
+type modelOnly struct{ model.Model }
+
+// TestF32WithoutModel32IsAnError: an f32 run over a model with no
+// float32 path is refused with an error naming the missing interface —
+// by the flat and the tiered entry points alike, before any device is
+// built (the device constructors would panic).
+func TestF32WithoutModel32IsAnError(t *testing.T) {
+	mdl, fed := tinyWorkload()
+	cfg := FedProx(2, 4, 1, 0.01, 1)
+	cfg.Precision = tensor.F32
+	runs := map[string]func() (*History, error){
+		"Run": func() (*History, error) { return Run(modelOnly{mdl}, fed, cfg) },
+		"RunTiered": func() (*History, error) {
+			return RunTiered(modelOnly{mdl}, fed.Fleet(), cfg, tier.Topology{FanOut: 2, Depth: 1})
+		},
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			_, err := run()
+			if err == nil || !strings.Contains(err.Error(), "Model32") {
+				t.Fatalf("got error %v, want one naming model.Model32", err)
+			}
+		})
+	}
+}
+
+// TestF32PrerequisitesAgree: every layer that gates the f32 path —
+// the device constructor, InstallLinks, SupportsPrecision and Run —
+// accepts exactly the runtimes with a Model32 model, a LocalSolver32
+// solver and no privacy mechanism, and rejects the other seven
+// combinations.
+func TestF32PrerequisitesAgree(t *testing.T) {
+	mdl, fed := tinyWorkload()
+	spec := comm.Spec{Name: "raw", Precision: tensor.F32}
+	for _, m32 := range []bool{true, false} {
+		for _, s32 := range []bool{true, false} {
+			for _, priv := range []bool{false, true} {
+				t.Run(fmt.Sprintf("model32=%v/solver32=%v/privacy=%v", m32, s32, priv), func(t *testing.T) {
+					var m model.Model = mdl
+					if !m32 {
+						m = modelOnly{mdl}
+					}
+					opts := DeviceOptions{Solver: solver.SGDSolver{}}
+					if !s32 {
+						opts.Solver = solver.MomentumSolver{Beta: 0.9}
+					}
+					if priv {
+						opts.Privacy = &privacy.Mechanism{ClipNorm: 1, NoiseStd: 0.1, Seed: 2}
+					}
+					want := m32 && s32 && !priv
+
+					wide := NewDevice(m, fed.Shards[:1], opts)
+					if got := wide.SupportsPrecision(tensor.F32); got != want {
+						t.Errorf("SupportsPrecision = %v, want %v", got, want)
+					}
+					if err := wide.InstallLinks(spec, spec); (err == nil) != want {
+						t.Errorf("InstallLinks error %v, want accepted=%v", err, want)
+					}
+					f32 := opts
+					f32.Precision = tensor.F32
+					if got := constructs(func() { NewDevice(m, fed.Shards[:1], f32) }); got != want {
+						t.Errorf("NewDevice accepted=%v, want %v", got, want)
+					}
+					cfg := FedProx(1, 2, 1, 0.01, 1)
+					cfg.Precision, cfg.Solver, cfg.Privacy = tensor.F32, opts.Solver, opts.Privacy
+					if _, err := Run(m, fed, cfg); (err == nil) != want {
+						t.Errorf("Run error %v, want accepted=%v", err, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// constructs reports whether build returns without panicking.
+func constructs(build func()) (ok bool) {
+	defer func() { ok = recover() == nil }()
+	build()
+	return true
 }
 
 // uplinkRecorder wraps a latency model and records every uplink size

@@ -42,6 +42,9 @@ func RunFleet(m model.Model, fl Fleet, cfg Config) (*History, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if err := precisionErr(cfg.Precision, m, cfg.Solver, cfg.Privacy); err != nil {
+		return nil, err
+	}
 	async := cfg.Async.Enabled()
 	if async && !cfg.VTime.Enabled() {
 		return nil, fmt.Errorf("core: %s aggregation in the simulator requires a virtual-time latency model (set Config.VTime.Model, see internal/vtime); the fednet runtime executes it against the real clock", cfg.Async.Mode)

@@ -41,6 +41,9 @@ func RunTiered(m model.Model, fl Fleet, cfg Config, topo tier.Topology) (*Histor
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if err := precisionErr(cfg.Precision, m, cfg.Solver, cfg.Privacy); err != nil {
+		return nil, err
+	}
 	if err := topo.Validate(cfg.ClientsPerRound, fl.NumDevices()); err != nil {
 		return nil, err
 	}
@@ -313,7 +316,7 @@ func (d *tieredRun) serveChild(parent *tierNode, v Dispatch) (Reply, error) {
 	// weighted inside its own fold).
 	r := Reply{Device: v.Device, EpochsDone: v.Epochs}
 	if parent.coord.links != nil {
-		u, err := parent.coord.links.uplinkEncode(v.Device, child.coord.Params(), v.View)
+		u, err := uplinkEncode(parent.coord.links, v.Device, child.coord.Params(), v.View)
 		if err != nil {
 			return Reply{}, err
 		}

@@ -80,13 +80,13 @@ func TestDeviceDispatchParityWithWorker(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				prev := srvLinks.Prev(shard.ID)
+				prev := comm.Prev[float64](srvLinks, shard.ID)
 				u := enc.Encode(wt, prev)
 				view, err := enc.Decode(u, prev)
 				if err != nil {
 					t.Fatal(err)
 				}
-				srvLinks.SetPrev(shard.ID, view)
+				comm.SetPrev(srvLinks, shard.ID, view)
 
 				d := core.Dispatch{
 					Round:        round,

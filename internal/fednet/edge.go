@@ -232,12 +232,12 @@ func (e *Edge) train(links *comm.LinkState, req *TrainRequest) TrainReply {
 		reply.Err = err.Error()
 		return reply
 	}
-	view, err := down.Decode(&req.Update, links.Prev(req.Device))
+	view, err := down.Decode(&req.Update, comm.Prev[float64](links, req.Device))
 	if err != nil {
 		reply.Err = err.Error()
 		return reply
 	}
-	links.SetPrev(req.Device, view)
+	comm.SetPrev(links, req.Device, view)
 	cmds, err := e.srv.coord.Resume(view)
 	if err == nil {
 		_, err = core.Drive(e.srv.coord, cmds, syncTransport{s: e.srv, edge: true})

@@ -52,7 +52,7 @@ func (m *Model) InitParams(rng *frand.Source) []float64 {
 }
 
 // split returns the weight-matrix and bias views of w.
-func (m *Model) split(w []float64) (tensor.Mat, []float64) {
+func split[F tensor.Float](m *Model, w []F) (tensor.Matrix[F], []F) {
 	W := tensor.MatView(w[:m.Classes*m.Dim], m.Classes, m.Dim)
 	return W, w[m.Classes*m.Dim:]
 }
@@ -62,7 +62,7 @@ func (m *Model) Loss(w []float64, batch []data.Example) float64 {
 	if len(batch) == 0 {
 		return 0
 	}
-	W, b := m.split(w)
+	W, b := split(m, w)
 	logits := make([]float64, m.Classes)
 	total := 0.0
 	for _, ex := range batch {
@@ -82,8 +82,8 @@ func (m *Model) Grad(dst, w []float64, batch []data.Example) float64 {
 	if len(batch) == 0 {
 		return 0
 	}
-	W, b := m.split(w)
-	gW, gb := m.split(dst)
+	W, b := split(m, w)
+	gW, gb := split(m, dst)
 	scratch := tensor.GetVec(2 * m.Classes)
 	defer tensor.PutVec(scratch)
 	logits, probs := scratch[:m.Classes], scratch[m.Classes:]
@@ -102,7 +102,7 @@ func (m *Model) Grad(dst, w []float64, batch []data.Example) float64 {
 
 // Predict returns argmax over class logits.
 func (m *Model) Predict(w []float64, ex data.Example) int {
-	W, b := m.split(w)
+	W, b := split(m, w)
 	logits := make([]float64, m.Classes)
 	tensor.MatVecAdd(logits, W, ex.X, b)
 	return tensor.ArgMax(logits)

@@ -8,12 +8,6 @@ import (
 
 var _ model.Model32 = (*Model)(nil)
 
-// split32 returns the weight-matrix and bias views of a float32 w.
-func (m *Model) split32(w tensor.Vec32) (tensor.Mat32, tensor.Vec32) {
-	W := tensor.MatView32(w[:m.Classes*m.Dim], m.Classes, m.Dim)
-	return W, w[m.Classes*m.Dim:]
-}
-
 // Grad32 is the batched float32 gradient: the minibatch is gathered into
 // a row-major B×Dim panel once, the forward pass is one panel·Wᵀ
 // multiply, softmax and loss share a single exp pass per example, and
@@ -24,21 +18,21 @@ func (m *Model) Grad32(dst, w tensor.Vec32, batch []data.Example) float32 {
 	if len(dst) != m.NumParams() {
 		panic("linear: gradient buffer size mismatch")
 	}
-	tensor.Zero32(dst)
+	tensor.Zero(dst)
 	if len(batch) == 0 {
 		return 0
 	}
 	B := len(batch)
-	W, b := m.split32(w)
-	gW, gb := m.split32(dst)
+	W, b := split(m, w)
+	gW, gb := split(m, dst)
 
 	xbuf := tensor.GetVec32(B * m.Dim)
-	X := tensor.MatView32(xbuf, B, m.Dim)
+	X := tensor.MatView(xbuf, B, m.Dim)
 	for e, ex := range batch {
 		tensor.Narrow(X.Row(e), ex.X)
 	}
 	pbuf := tensor.GetVec32(B * m.Classes)
-	P := tensor.MatView32(pbuf, B, m.Classes)
+	P := tensor.MatView(pbuf, B, m.Classes)
 
 	tensor.MatMulNT32(P, X, W, b) // logits panel
 	var total float32
@@ -50,9 +44,9 @@ func (m *Model) Grad32(dst, w tensor.Vec32, batch []data.Example) float32 {
 	inv := 1 / float32(B)
 	tensor.AddOuterPanel32(gW, inv, P, X)
 	for e := 0; e < B; e++ {
-		tensor.Axpy32(inv, P.Row(e), gb)
+		tensor.Axpy(inv, P.Row(e), gb)
 	}
-	tensor.PutVec32(pbuf)
-	tensor.PutVec32(xbuf)
+	tensor.PutVec(pbuf)
+	tensor.PutVec(xbuf)
 	return total * inv
 }

@@ -86,7 +86,8 @@ func (m *Model) InitParams(rng *frand.Source) []float64 {
 	return w
 }
 
-func (m *Model) layer(w []float64, l int) (tensor.Mat, []float64) {
+// layer returns layer l's weight-matrix and bias views of w.
+func layer[F tensor.Float](m *Model, w []F, l int) (tensor.Matrix[F], []F) {
 	lo := m.offsets[l]
 	return tensor.MatView(w[lo.w:lo.w+lo.in*lo.out], lo.out, lo.in), w[lo.b : lo.b+lo.out]
 }
@@ -96,7 +97,7 @@ func (m *Model) layer(w []float64, l int) (tensor.Mat, []float64) {
 func (m *Model) forward(w []float64, x []float64, acts [][]float64, logits []float64) {
 	cur := x
 	for l := 0; l < len(m.offsets); l++ {
-		W, b := m.layer(w, l)
+		W, b := layer(m, w, l)
 		last := l == len(m.offsets)-1
 		var out []float64
 		if last {
@@ -159,8 +160,8 @@ func (m *Model) Grad(dst, w []float64, batch []data.Example) float64 {
 		// Backprop: delta starts as dL/dlogits.
 		delta := probs
 		for l := nLayers - 1; l >= 0; l-- {
-			W, _ := m.layer(w, l)
-			gW, gb := m.layer(dst, l)
+			W, _ := layer(m, w, l)
+			gW, gb := layer(m, dst, l)
 			tensor.AddOuter(gW, inv, delta, acts[l])
 			tensor.Axpy(inv, delta, gb)
 			if l == 0 {

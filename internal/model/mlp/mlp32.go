@@ -8,11 +8,6 @@ import (
 
 var _ model.Model32 = (*Model)(nil)
 
-func (m *Model) layer32(w tensor.Vec32, l int) (tensor.Mat32, tensor.Vec32) {
-	lo := m.offsets[l]
-	return tensor.MatView32(w[lo.w:lo.w+lo.in*lo.out], lo.out, lo.in), w[lo.b : lo.b+lo.out]
-}
-
 // Grad32 is the batched float32 backpropagation: one activation panel
 // per layer (B×width, pooled), forward as panel·Wᵀ multiplies, and the
 // backward pass pushing a whole B×width delta panel through each layer —
@@ -22,7 +17,7 @@ func (m *Model) Grad32(dst, w tensor.Vec32, batch []data.Example) float32 {
 	if len(dst) != m.nParams {
 		panic("mlp: gradient buffer size mismatch")
 	}
-	tensor.Zero32(dst)
+	tensor.Zero(dst)
 	if len(batch) == 0 {
 		return 0
 	}
@@ -35,13 +30,13 @@ func (m *Model) Grad32(dst, w tensor.Vec32, batch []data.Example) float32 {
 	A := make([]tensor.Mat32, L+1)
 	for l := 0; l <= L; l++ {
 		bufs[l] = tensor.GetVec32(B * m.sizes[l])
-		A[l] = tensor.MatView32(bufs[l], B, m.sizes[l])
+		A[l] = tensor.MatView(bufs[l], B, m.sizes[l])
 	}
 	for e, ex := range batch {
 		tensor.Narrow(A[0].Row(e), ex.X)
 	}
 	for l := 0; l < L; l++ {
-		W, b := m.layer32(w, l)
+		W, b := layer(m, w, l)
 		tensor.MatMulNT32(A[l+1], A[l], W, b)
 		if l < L-1 {
 			out := bufs[l+1]
@@ -62,34 +57,34 @@ func (m *Model) Grad32(dst, w tensor.Vec32, batch []data.Example) float32 {
 	delta := A[L] // dL/dlogits panel; aliases bufs[L]
 	var spent tensor.Vec32
 	for l := L - 1; l >= 0; l-- {
-		W, _ := m.layer32(w, l)
-		gW, gb := m.layer32(dst, l)
+		W, _ := layer(m, w, l)
+		gW, gb := layer(m, dst, l)
 		tensor.AddOuterPanel32(gW, inv, delta, A[l])
 		for e := 0; e < B; e++ {
-			tensor.Axpy32(inv, delta.Row(e), gb)
+			tensor.Axpy(inv, delta.Row(e), gb)
 		}
 		if l == 0 {
 			break
 		}
 		// dL/d(activation of layer l-1): delta·W, then through tanh'.
 		next := tensor.GetVec32(B * m.offsets[l].in)
-		D := tensor.MatView32(next, B, m.offsets[l].in)
+		D := tensor.MatView(next, B, m.offsets[l].in)
 		tensor.MatMul32(D, delta, W)
 		h := bufs[l] // tanh outputs of layer l-1, same B×in layout
 		for i, v := range next {
 			next[i] = v * (1 - h[i]*h[i])
 		}
 		if spent != nil {
-			tensor.PutVec32(spent)
+			tensor.PutVec(spent)
 		}
 		spent = next
 		delta = D
 	}
 	if spent != nil {
-		tensor.PutVec32(spent)
+		tensor.PutVec(spent)
 	}
 	for l := range bufs {
-		tensor.PutVec32(bufs[l])
+		tensor.PutVec(bufs[l])
 	}
 	return total * inv
 }

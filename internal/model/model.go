@@ -35,10 +35,10 @@ type Model interface {
 	Predict(w []float64, ex data.Example) int
 }
 
-// Model32 is the optional float32 fast path a Model may implement. The
-// f32 solvers type-assert for it: when present (and the run opts into
-// tensor.F32 precision), local SGD/GD steps call Grad32 on narrowed
-// parameters and only widen once at the reply boundary.
+// Model32 is the optional float32 fast path a Model may implement. A run
+// that opts into tensor.F32 requires it: the solvers' float32
+// instantiation calls Grad32 on narrowed parameters, and the result is
+// widened once at the reply boundary.
 //
 // Implementations are expected to batch: Grad32 should walk the whole
 // minibatch per call (gathering examples into row-major panels) rather

@@ -56,7 +56,7 @@ func TestF32DriftAgainstF64(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w64 := SGD(m, train, w0, tc.cfg, tc.epochs, frand.New(42))
-			w32 := SGD32(m, train, w032, tc.cfg, tc.epochs, frand.New(42))
+			w32 := SGD(m, train, w032, tc.cfg, tc.epochs, frand.New(42))
 			if d := relDrift(w32, w64); d > tc.tol {
 				t.Fatalf("f32 solution drifted %.2e from f64 (tol %.0e)", d, tc.tol)
 			}
@@ -64,7 +64,7 @@ func TestF32DriftAgainstF64(t *testing.T) {
 			// device's claim about how inexact its work was, and the
 			// coordinator's partial-work policy keys off it.
 			g64 := Gamma(m, train, w64, w0, tc.cfg)
-			g32 := Gamma32(m, train, w32, w032, tc.cfg)
+			g32 := Gamma(m, train, w32, w032, tc.cfg)
 			if math.Abs(g64-g32) > 1e-3 {
 				t.Fatalf("gamma drifted: f64 %.6f vs f32 %.6f", g64, g32)
 			}
@@ -87,7 +87,7 @@ func TestF32GammaZeroGradient(t *testing.T) {
 	for _, mu := range []float64{0, 1e-8, 1} {
 		cfg := Config{LearningRate: 0.1, BatchSize: 2, Mu: mu}
 		g64 := Gamma(m, train, w0, w0, cfg)
-		g32 := Gamma32(m, train, w032, w032, cfg)
+		g32 := Gamma(m, train, w032, w032, cfg)
 		if math.IsNaN(g64) || math.IsNaN(g32) {
 			t.Fatalf("mu=%g: gamma is NaN at a zero-gradient start (f64 %v, f32 %v)", mu, g64, g32)
 		}
@@ -117,7 +117,7 @@ func TestF32SubproblemGradMatches(t *testing.T) {
 		g64 := make([]float64, len(w))
 		SubproblemGrad(g64, m, train, w, w0, cfg)
 		g32 := make(tensor.Vec32, len(w))
-		SubproblemGrad32(g32, m, train, w32, w032, cfg)
+		SubproblemGrad(g32, m, train, w32, w032, cfg)
 		if d := relDrift(g32, g64); d > 1e-5 {
 			t.Fatalf("mu=%g: subproblem gradient drifted %.2e", mu, d)
 		}
@@ -132,7 +132,7 @@ func TestF32SubproblemGradMatches(t *testing.T) {
 	g64 := make([]float64, len(w))
 	SubproblemGrad(g64, m, sym, w, w0, cfg)
 	g32 := make(tensor.Vec32, len(w))
-	SubproblemGrad32(g32, m, sym, w32, w032, cfg)
+	SubproblemGrad(g32, m, sym, w32, w032, cfg)
 	if d := relDrift(g32, g64); d > 1e-5 {
 		t.Fatalf("prox-only gradient drifted %.2e", d)
 	}

@@ -27,16 +27,24 @@ type LocalSolver interface {
 }
 
 // LocalSolver32 is the optional float32 fast path a LocalSolver may
-// implement. The device runtime type-asserts for it when a run opts into
+// implement. The device runtime requires it when a run opts into
 // tensor.F32: parameters arrive narrowed, the whole solve runs on the
 // f32 kernels, and the returned pooled Vec32 feeds the codec encode
-// directly — no widening copy between solve and wire. Solvers that don't
-// implement it simply keep the float64 path under every precision.
+// directly — no widening copy between solve and wire.
 type LocalSolver32 interface {
 	LocalSolver
 	// Solve32 is Solve on narrowed parameters, returning a pooled Vec32
-	// (hand back with tensor.PutVec32 when not retained).
+	// (hand back with tensor.PutVec when not retained).
 	Solve32(m model.Model32, train []data.Example, w0 tensor.Vec32, cfg Config, epochs int, rng *frand.Source) tensor.Vec32
+}
+
+// Solve runs s at width F: Solve at float64, Solve32 at float32 (s must
+// implement LocalSolver32 and m model.Model32 there).
+func Solve[F tensor.Float](s LocalSolver, m model.Model, train []data.Example, w0 []F, cfg Config, epochs int, rng *frand.Source) []F {
+	if w32, ok := any(w0).(tensor.Vec32); ok {
+		return any(s.(LocalSolver32).Solve32(m.(model.Model32), train, w32, cfg, epochs, rng)).([]F)
+	}
+	return any(s.Solve(m, train, any(w0).([]float64), cfg, epochs, rng)).([]F)
 }
 
 // SGDSolver is plain mini-batch SGD — the paper's local solver for both
@@ -47,28 +55,14 @@ type SGDSolver struct{}
 // Name implements LocalSolver.
 func (SGDSolver) Name() string { return "sgd" }
 
-// Solve implements LocalSolver. Under cfg.Precision == tensor.F32 (with
-// an f32-capable model) the solve itself runs on the float32 kernels and
-// only the returned vector is widened — direct callers get the f64
-// contract either way; the device runtime avoids even that widening by
-// calling Solve32.
+// Solve implements LocalSolver.
 func (SGDSolver) Solve(m model.Model, train []data.Example, w0 []float64, cfg Config, epochs int, rng *frand.Source) []float64 {
-	if m32, ok := F32Capable(m, cfg); ok {
-		n0 := tensor.GetVec32(len(w0))
-		tensor.Narrow(n0, w0)
-		w32 := SGD32(m32, train, n0, cfg, epochs, rng)
-		tensor.PutVec32(n0)
-		out := tensor.GetVec(len(w0))
-		tensor.Widen(out, w32)
-		tensor.PutVec32(w32)
-		return out
-	}
 	return SGD(m, train, w0, cfg, epochs, rng)
 }
 
 // Solve32 implements LocalSolver32.
 func (SGDSolver) Solve32(m model.Model32, train []data.Example, w0 tensor.Vec32, cfg Config, epochs int, rng *frand.Source) tensor.Vec32 {
-	return SGD32(m, train, w0, cfg, epochs, rng)
+	return SGD(m, train, w0, cfg, epochs, rng)
 }
 
 // GDSolver is full-batch gradient descent with StepsPerEpoch descent steps
@@ -85,30 +79,19 @@ func (s GDSolver) Name() string { return "gd" }
 
 // Solve implements LocalSolver.
 func (s GDSolver) Solve(m model.Model, train []data.Example, w0 []float64, cfg Config, epochs int, rng *frand.Source) []float64 {
-	per := s.StepsPerEpoch
-	if per <= 0 {
-		per = 1
-	}
-	if m32, ok := F32Capable(m, cfg); ok {
-		n0 := tensor.GetVec32(len(w0))
-		tensor.Narrow(n0, w0)
-		w32 := GD32(m32, train, n0, cfg, epochs*per)
-		tensor.PutVec32(n0)
-		out := tensor.GetVec(len(w0))
-		tensor.Widen(out, w32)
-		tensor.PutVec32(w32)
-		return out
-	}
-	return GD(m, train, w0, cfg, epochs*per)
+	return GD(m, train, w0, cfg, s.steps(epochs))
 }
 
 // Solve32 implements LocalSolver32.
 func (s GDSolver) Solve32(m model.Model32, train []data.Example, w0 tensor.Vec32, cfg Config, epochs int, rng *frand.Source) tensor.Vec32 {
-	per := s.StepsPerEpoch
-	if per <= 0 {
-		per = 1
+	return GD(m, train, w0, cfg, s.steps(epochs))
+}
+
+func (s GDSolver) steps(epochs int) int {
+	if s.StepsPerEpoch <= 0 {
+		return epochs
 	}
-	return GD32(m, train, w0, cfg, epochs*per)
+	return epochs * s.StepsPerEpoch
 }
 
 // MomentumSolver is SGD with classical (heavy-ball) momentum.

@@ -107,66 +107,7 @@ func dispatchBenchFed() *data.Federated {
 // dispatch runs dispatchEpochs local epochs so the solve-to-codec mix
 // resembles a real contact (the paper's experiments run E = 20 local
 // epochs; one would make the fixed per-contact codec cost dominate).
-func DeviceDispatch(b *testing.B) {
-	fed := dispatchBenchFed()
-	mdl := linear.ForDataset(fed)
-	shard := fed.Shards[0]
-	spec := comm.Spec{Name: "delta+qsgd", Bits: 8, Seed: 11}.WithDefaults()
-
-	dev := core.NewDevice(mdl, fed.Shards[:1], core.DeviceOptions{})
-	if err := dev.InstallLinks(spec, spec); err != nil {
-		b.Fatal(err)
-	}
-	srv, err := comm.NewLinkState(spec, spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := frand.New(3)
-	wt := mdl.InitParams(rng.Split("params"))
-
-	// Pre-encode b.N broadcasts (the coordinator's job) so the timed
-	// loop holds only device-side work. Each broadcast is perturbed so
-	// the delta chain never degenerates.
-	updates := make([]*comm.Update, b.N)
-	seeds := make([]uint64, b.N)
-	for i := 0; i < b.N; i++ {
-		enc, _, err := srv.Link(shard.ID)
-		if err != nil {
-			b.Fatal(err)
-		}
-		prev := srv.Prev(shard.ID)
-		u := enc.Encode(wt, prev)
-		view, err := enc.Decode(u, prev)
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv.SetPrev(shard.ID, view)
-		updates[i] = u
-		seeds[i] = rng.SplitIndex(i).State()
-		for j := range wt {
-			wt[j] += 1e-3
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := dev.HandleDispatch(core.Dispatch{
-			Device:       shard.ID,
-			Epochs:       dispatchEpochs,
-			Mu:           1,
-			LearningRate: 0.01,
-			BatchSize:    32,
-			BatchSeed:    seeds[i],
-			Update:       updates[i],
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Update == nil || r.EpochsDone != dispatchEpochs {
-			b.Fatal("device dispatch produced no encoded update")
-		}
-	}
-}
+func DeviceDispatch(b *testing.B) { deviceDispatch[float64](b, tensor.F64) }
 
 // DeviceDispatchF32 is DeviceDispatch on the float32 fast path: the same
 // workload, codec chain, and dispatch schedule, but the deployment's
@@ -174,13 +115,16 @@ func DeviceDispatch(b *testing.B) {
 // batched f32 kernels, and the uplink encodes straight from the f32
 // solution. Its ratio against DeviceDispatch is the tentpole gate
 // cmd/fedspeed enforces.
-func DeviceDispatchF32(b *testing.B) {
+func DeviceDispatchF32(b *testing.B) { deviceDispatch[float32](b, tensor.F32) }
+
+// deviceDispatch is the shared body of the dispatch pair at width F.
+func deviceDispatch[F tensor.Float](b *testing.B, prec tensor.Precision) {
 	fed := dispatchBenchFed()
 	mdl := linear.ForDataset(fed)
 	shard := fed.Shards[0]
-	spec := comm.Spec{Name: "delta+qsgd", Bits: 8, Seed: 11, Precision: tensor.F32}.WithDefaults()
+	spec := comm.Spec{Name: "delta+qsgd", Bits: 8, Seed: 11, Precision: prec}.WithDefaults()
 
-	dev := core.NewDevice(mdl, fed.Shards[:1], core.DeviceOptions{Precision: tensor.F32})
+	dev := core.NewDevice(mdl, fed.Shards[:1], core.DeviceOptions{Precision: prec})
 	if err := dev.InstallLinks(spec, spec); err != nil {
 		b.Fatal(err)
 	}
@@ -190,10 +134,11 @@ func DeviceDispatchF32(b *testing.B) {
 	}
 	rng := frand.New(3)
 	wt := mdl.InitParams(rng.Split("params"))
-	w32 := make([]float32, len(wt))
+	w := make([]F, len(wt))
 
-	// Pre-encode b.N broadcasts on the f32 chain (the coordinator's job)
-	// so the timed loop holds only device-side work.
+	// Pre-encode b.N broadcasts on the width-F chain (the coordinator's
+	// job) so the timed loop holds only device-side work. Each broadcast
+	// is perturbed so the delta chain never degenerates.
 	updates := make([]*comm.Update, b.N)
 	seeds := make([]uint64, b.N)
 	for i := 0; i < b.N; i++ {
@@ -201,18 +146,14 @@ func DeviceDispatchF32(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e32, err := comm.As32(enc)
+		tensor.Narrow(w, wt)
+		prev := comm.Prev[F](srv, shard.ID)
+		u := comm.Encode(enc, w, prev)
+		view, err := comm.Decode(enc, u, prev)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tensor.Narrow(w32, wt)
-		prev := srv.Prev32(shard.ID)
-		u := e32.Encode32(w32, prev)
-		view, err := e32.Decode32(u, prev)
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv.SetPrev32(shard.ID, view)
+		comm.SetPrev(srv, shard.ID, view)
 		updates[i] = u
 		seeds[i] = rng.SplitIndex(i).State()
 		for j := range wt {
@@ -287,10 +228,10 @@ func SolveBatched(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w := solver.SGD32(mdl, train, n0, cfg, 1, frand.New(uint64(i+1)))
+		w := solver.SGD(mdl, train, n0, cfg, 1, frand.New(uint64(i+1)))
 		if len(w) != len(w0) {
 			b.Fatal("solve returned wrong length")
 		}
-		tensor.PutVec32(w)
+		tensor.PutVec(w)
 	}
 }

@@ -1,10 +1,11 @@
-// Float32 kernel set: the narrow twin of tensor.go's float64 kernels.
+// Precision, the width crossings, and the kernels that exist only at
+// float32.
 //
 // The f32 path exists for speed, not semantics: halved memory traffic on
-// the solve/encode hot loop and half the bytes on a raw wire. Everything
-// here mirrors the float64 layout (flat slices, row-major matrices) so a
-// model's parameter vector can be narrowed once at the dispatch boundary,
-// walked entirely in float32, and widened once at the reply boundary.
+// the solve/encode hot loop and half the bytes on a raw wire. It uses the
+// float64 layout (flat slices, row-major matrices), so a model's
+// parameter vector is narrowed once at the dispatch boundary, walked
+// entirely in float32, and widened once at the reply boundary.
 //
 // The batched panel kernels (MatMulNT32, MatMul32, AddOuterPanel32) are
 // what let linear/mlp gradient code walk a whole minibatch per call:
@@ -66,33 +67,7 @@ func (p Precision) String() string {
 // Vec32 is a dense float32 vector.
 type Vec32 = []float32
 
-// NewVec32 returns a zero vector of length n.
-func NewVec32(n int) Vec32 { return make(Vec32, n) }
-
-// Clone32 returns a copy of v.
-func Clone32(v Vec32) Vec32 {
-	out := make(Vec32, len(v))
-	copy(out, v)
-	return out
-}
-
-// Zero32 sets every element of v to 0.
-func Zero32(v Vec32) {
-	for i := range v {
-		v[i] = 0
-	}
-}
-
-// Fill32 sets every element of v to c.
-func Fill32(v Vec32, c float32) {
-	for i := range v {
-		v[i] = c
-	}
-}
-
-// Widen copies src into dst element-wise, promoting to float64. This is
-// the one sanctioned f32→f64 crossing: reply params, γ numerators, and
-// fold inputs go through here exactly once.
+// Widen copies src into dst element-wise, promoting to float64.
 func Widen(dst Vec, src Vec32) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("tensor: Widen length mismatch %d vs %d", len(dst), len(src)))
@@ -102,11 +77,30 @@ func Widen(dst Vec, src Vec32) {
 	}
 }
 
-// Narrow copies src into dst element-wise, truncating to float32 — the
-// dispatch-boundary twin of Widen.
-func Narrow(dst Vec32, src Vec) {
+// ToVec returns v as a float64 vector and takes ownership of v: a
+// float64 v is returned as is, a float32 v is widened into a pooled
+// vector and recycled. This is the one sanctioned f32→f64 crossing:
+// reply params and fold inputs go through here exactly once.
+func ToVec[F Float](v []F) Vec {
+	if w, ok := any(v).(Vec); ok {
+		return w
+	}
+	out := GetVec(len(v))
+	Widen(out, any(v).(Vec32))
+	PutVec(v)
+	return out
+}
+
+// Narrow copies src into dst element-wise, rounding to F — a plain copy
+// at float64, the dispatch-boundary twin of ToVec at float32.
+func Narrow[F Float](dst []F, src Vec) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("tensor: Narrow length mismatch %d vs %d", len(dst), len(src)))
+	}
+	d32, ok := any(dst).(Vec32)
+	if !ok {
+		copy(any(dst).(Vec), src)
+		return
 	}
 	// Unrolled: the convert sits on the panel-gather path of every batched
 	// gradient, where the loop-carried bounds checks otherwise cost as
@@ -114,24 +108,22 @@ func Narrow(dst Vec32, src Vec) {
 	i := 0
 	for ; i+4 <= len(src); i += 4 {
 		s := src[i : i+4 : i+4]
-		d := dst[i : i+4 : i+4]
+		d := d32[i : i+4 : i+4]
 		d[0] = float32(s[0])
 		d[1] = float32(s[1])
 		d[2] = float32(s[2])
 		d[3] = float32(s[3])
 	}
 	for ; i < len(src); i++ {
-		dst[i] = float32(src[i])
+		d32[i] = float32(src[i])
 	}
 }
 
-// Dot32 returns the inner product of a and b. Four independent
-// accumulators keep the multiply-adds pipelined instead of serialized on
-// one register's latency chain.
-func Dot32(a, b Vec32) float32 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: length mismatch %d vs %d", len(a), len(b)))
-	}
+// dot32 is Dot's float32 kernel. Four independent accumulators keep the
+// multiply-adds pipelined instead of serialized on one register's
+// latency chain.
+func dot32(a, b Vec32) float32 {
+	mustSameLen(len(a), len(b))
 	var s0, s1, s2, s3 float32
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
@@ -147,17 +139,9 @@ func Dot32(a, b Vec32) float32 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// Norm232 returns the Euclidean norm of v, accumulated in float32 and
-// finished in float64 (Sqrt has no float32 form in the stdlib).
-func Norm232(v Vec32) float64 {
-	return math.Sqrt(float64(Dot32(v, v)))
-}
-
-// SqDist32 returns ‖a − b‖² — the f32 proximal-term distance.
-func SqDist32(a, b Vec32) float32 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: length mismatch %d vs %d", len(a), len(b)))
-	}
+// sqDist32 is SqDist's float32 kernel, on two accumulators.
+func sqDist32(a, b Vec32) float32 {
+	mustSameLen(len(a), len(b))
 	var s0, s1 float32
 	i := 0
 	for ; i+2 <= len(a); i += 2 {
@@ -171,31 +155,6 @@ func SqDist32(a, b Vec32) float32 {
 		s0 += d * d
 	}
 	return s0 + s1
-}
-
-// Axpy32 computes y ← y + alpha·x in place.
-func Axpy32(alpha float32, x, y Vec32) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("tensor: length mismatch %d vs %d", len(x), len(y)))
-	}
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		xx, yy := x[i:i+4:i+4], y[i:i+4:i+4]
-		yy[0] += alpha * xx[0]
-		yy[1] += alpha * xx[1]
-		yy[2] += alpha * xx[2]
-		yy[3] += alpha * xx[3]
-	}
-	for ; i < len(x); i++ {
-		y[i] += alpha * x[i]
-	}
-}
-
-// Scale32 computes v ← alpha·v in place.
-func Scale32(alpha float32, v Vec32) {
-	for i := range v {
-		v[i] *= alpha
-	}
 }
 
 // CrossEntropySoftmax32 writes the stable softmax of logits into probs
@@ -225,23 +184,8 @@ func CrossEntropySoftmax32(probs, logits Vec32, y int) float32 {
 // Tanh32 is the float32 hyperbolic tangent.
 func Tanh32(x float32) float32 { return float32(math.Tanh(float64(x))) }
 
-// Mat32 is a dense row-major float32 matrix view over a flat vector.
-type Mat32 struct {
-	Rows, Cols int
-	Data       Vec32 // len == Rows*Cols
-}
-
-// MatView32 wraps an existing slice as a rows×cols matrix. It panics if
-// the slice has the wrong length.
-func MatView32(data Vec32, rows, cols int) Mat32 {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: MatView32 %dx%d over %d elements", rows, cols, len(data)))
-	}
-	return Mat32{Rows: rows, Cols: cols, Data: data}
-}
-
-// Row returns row i as a view (mutations are visible in m).
-func (m Mat32) Row(i int) Vec32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
+// Mat32 is a float32 matrix.
+type Mat32 = Matrix[float32]
 
 // MatMulNT32 computes dst ← a·bᵀ (+ bias broadcast over rows when bias
 // is non-nil): dst is B×C, a is the B×D example panel, b is the C×D
@@ -294,7 +238,7 @@ func MatMulNT32(dst, a, b Mat32, bias Vec32) {
 			off = bias[i]
 		}
 		for e := 0; e < a.Rows; e++ {
-			dst.Data[e*dst.Cols+i] = Dot32(a.Row(e), w) + off
+			dst.Data[e*dst.Cols+i] = dot32(a.Row(e), w) + off
 		}
 	}
 }
@@ -308,11 +252,11 @@ func MatMul32(dst, a, b Mat32) {
 	}
 	for e := 0; e < a.Rows; e++ {
 		out := dst.Row(e)
-		Zero32(out)
+		Zero(out)
 		ar := a.Row(e)
 		for i, c := range ar {
 			if c != 0 {
-				Axpy32(c, b.Row(i), out)
+				Axpy(c, b.Row(i), out)
 			}
 		}
 	}
@@ -368,7 +312,7 @@ func AddOuterPanel32(m Mat32, alpha float32, y, x Mat32) {
 		for e := 0; e < bn; e++ {
 			c := alpha * y.Data[e*yc+i]
 			if c != 0 {
-				Axpy32(c, x.Row(e), row)
+				Axpy(c, x.Row(e), row)
 			}
 		}
 	}

@@ -1,16 +1,24 @@
-// Package tensor provides the dense float64 vector and matrix kernels that
-// every model and solver in this repository is built on.
+// Package tensor provides the dense vector and matrix kernels that every
+// model and solver in this repository is built on.
 //
-// All state lives in flat []float64 slices. Matrices are row-major views
-// over a flat slice, which lets a whole model's parameters occupy one
+// All state lives in flat slices. Matrices are row-major views over a
+// flat slice, which lets a whole model's parameters occupy one
 // contiguous vector — the representation the federated server aggregates,
 // and the representation the proximal term ‖w − wᵗ‖² is computed over.
+//
+// Element-wise plumbing is written once, generic over Float; float64 is
+// the reference width and float32 the opt-in fast path (see Precision).
+// Reductions keep one kernel per width, because their accumulation
+// order fixes the bits of every pinned trajectory.
 package tensor
 
 import (
 	"fmt"
 	"math"
 )
+
+// Float is an element width the kernels run at.
+type Float interface{ float32 | float64 }
 
 // Vec is a dense float64 vector.
 type Vec = []float64
@@ -19,29 +27,37 @@ type Vec = []float64
 func NewVec(n int) Vec { return make(Vec, n) }
 
 // Clone returns a copy of v.
-func Clone(v Vec) Vec {
-	out := make(Vec, len(v))
+func Clone[F Float](v []F) []F {
+	out := make([]F, len(v))
 	copy(out, v)
 	return out
 }
 
 // Zero sets every element of v to 0.
-func Zero(v Vec) {
+func Zero[F Float](v []F) {
 	for i := range v {
 		v[i] = 0
 	}
 }
 
 // Fill sets every element of v to c.
-func Fill(v Vec, c float64) {
+func Fill[F Float](v []F, c F) {
 	for i := range v {
 		v[i] = c
 	}
 }
 
-// Dot returns the inner product of a and b. It panics on length mismatch.
-func Dot(a, b Vec) float64 {
-	mustSameLen(a, b)
+// Dot returns the inner product of a and b. It panics on length
+// mismatch. float64 sums serially; float32 uses four accumulators.
+func Dot[F Float](a, b []F) F {
+	if a32, ok := any(a).(Vec32); ok {
+		return F(dot32(a32, any(b).(Vec32)))
+	}
+	return F(dot64(any(a).(Vec), any(b).(Vec)))
+}
+
+func dot64(a, b Vec) float64 {
+	mustSameLen(len(a), len(b))
 	s := 0.0
 	for i := range a {
 		s += a[i] * b[i]
@@ -49,15 +65,24 @@ func Dot(a, b Vec) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v Vec) float64 {
-	return math.Sqrt(Dot(v, v))
+// Norm2 returns the Euclidean norm of v, accumulated at v's width and
+// finished in float64.
+func Norm2[F Float](v []F) float64 {
+	return math.Sqrt(float64(Dot(v, v)))
 }
 
 // SqDist returns ‖a − b‖², the squared Euclidean distance — the quantity
-// scaled by μ/2 in the FedProx subproblem.
-func SqDist(a, b Vec) float64 {
-	mustSameLen(a, b)
+// scaled by μ/2 in the FedProx subproblem. float64 sums serially;
+// float32 uses two accumulators.
+func SqDist[F Float](a, b []F) F {
+	if a32, ok := any(a).(Vec32); ok {
+		return F(sqDist32(a32, any(b).(Vec32)))
+	}
+	return F(sqDist64(any(a).(Vec), any(b).(Vec)))
+}
+
+func sqDist64(a, b Vec) float64 {
+	mustSameLen(len(a), len(b))
 	s := 0.0
 	for i := range a {
 		d := a[i] - b[i]
@@ -67,15 +92,23 @@ func SqDist(a, b Vec) float64 {
 }
 
 // Axpy computes y ← y + alpha·x in place.
-func Axpy(alpha float64, x, y Vec) {
-	mustSameLen(x, y)
-	for i := range x {
+func Axpy[F Float](alpha F, x, y []F) {
+	mustSameLen(len(x), len(y))
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		xx, yy := x[i:i+4:i+4], y[i:i+4:i+4]
+		yy[0] += alpha * xx[0]
+		yy[1] += alpha * xx[1]
+		yy[2] += alpha * xx[2]
+		yy[3] += alpha * xx[3]
+	}
+	for ; i < len(x); i++ {
 		y[i] += alpha * x[i]
 	}
 }
 
 // Scale computes v ← alpha·v in place.
-func Scale(alpha float64, v Vec) {
+func Scale[F Float](alpha F, v []F) {
 	for i := range v {
 		v[i] *= alpha
 	}
@@ -83,8 +116,8 @@ func Scale(alpha float64, v Vec) {
 
 // Add computes dst ← a + b. dst may alias a or b.
 func Add(dst, a, b Vec) {
-	mustSameLen(a, b)
-	mustSameLen(dst, a)
+	mustSameLen(len(a), len(b))
+	mustSameLen(len(dst), len(a))
 	for i := range a {
 		dst[i] = a[i] + b[i]
 	}
@@ -92,8 +125,8 @@ func Add(dst, a, b Vec) {
 
 // Sub computes dst ← a − b. dst may alias a or b.
 func Sub(dst, a, b Vec) {
-	mustSameLen(a, b)
-	mustSameLen(dst, a)
+	mustSameLen(len(a), len(b))
+	mustSameLen(len(dst), len(a))
 	for i := range a {
 		dst[i] = a[i] - b[i]
 	}
@@ -101,8 +134,8 @@ func Sub(dst, a, b Vec) {
 
 // AddScaled computes dst ← a + alpha·b. dst may alias a or b.
 func AddScaled(dst, a Vec, alpha float64, b Vec) {
-	mustSameLen(a, b)
-	mustSameLen(dst, a)
+	mustSameLen(len(a), len(b))
+	mustSameLen(len(dst), len(a))
 	for i := range a {
 		dst[i] = a[i] + alpha*b[i]
 	}
@@ -144,7 +177,7 @@ func WeightedMean(dst Vec, vs []Vec, ws []float64) {
 // Softmax writes the softmax of logits into dst (which may alias logits),
 // using the max-subtraction trick for numerical stability.
 func Softmax(dst, logits Vec) {
-	mustSameLen(dst, logits)
+	mustSameLen(len(dst), len(logits))
 	max := logits[0]
 	for _, v := range logits[1:] {
 		if v > max {
@@ -202,17 +235,20 @@ func Sigmoid(x float64) float64 {
 // Tanh returns the hyperbolic tangent of x.
 func Tanh(x float64) float64 { return math.Tanh(x) }
 
-func mustSameLen(a, b Vec) {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: length mismatch %d vs %d", len(a), len(b)))
+func mustSameLen(a, b int) {
+	if a != b {
+		panic(fmt.Sprintf("tensor: length mismatch %d vs %d", a, b))
 	}
 }
 
-// Mat is a dense row-major matrix view over a flat vector.
-type Mat struct {
+// Matrix is a dense row-major matrix view over a flat vector.
+type Matrix[F Float] struct {
 	Rows, Cols int
-	Data       Vec // len == Rows*Cols
+	Data       []F // len == Rows*Cols
 }
+
+// Mat is a float64 matrix.
+type Mat = Matrix[float64]
 
 // NewMat returns a zero matrix of the given shape backed by fresh storage.
 func NewMat(rows, cols int) Mat {
@@ -221,21 +257,21 @@ func NewMat(rows, cols int) Mat {
 
 // MatView wraps an existing slice as a rows×cols matrix. It panics if the
 // slice has the wrong length.
-func MatView(data Vec, rows, cols int) Mat {
+func MatView[F Float](data []F, rows, cols int) Matrix[F] {
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("tensor: MatView %dx%d over %d elements", rows, cols, len(data)))
 	}
-	return Mat{Rows: rows, Cols: cols, Data: data}
+	return Matrix[F]{Rows: rows, Cols: cols, Data: data}
 }
 
 // At returns element (i, j).
-func (m Mat) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
+func (m Matrix[F]) At(i, j int) F { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i, j).
-func (m Mat) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
+func (m Matrix[F]) Set(i, j int, v F) { m.Data[i*m.Cols+j] = v }
 
 // Row returns row i as a view (mutations are visible in m).
-func (m Mat) Row(i int) Vec { return m.Data[i*m.Cols : (i+1)*m.Cols] }
+func (m Matrix[F]) Row(i int) []F { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // MatVec computes dst ← M·x. It panics on shape mismatch.
 func MatVec(dst Vec, m Mat, x Vec) {
