@@ -41,6 +41,7 @@ import (
 	"fedprox/internal/comm"
 	"fedprox/internal/data"
 	"fedprox/internal/frand"
+	"fedprox/internal/metrics"
 	"fedprox/internal/model"
 	"fedprox/internal/obs"
 	"fedprox/internal/privacy"
@@ -62,7 +63,9 @@ type EvalRequest struct {
 	Params []float64
 }
 
-// DeviceEval is one shard's contribution to the global metrics.
+// DeviceEval is one shard's contribution to the global metrics: the
+// hosted device's ID and its metrics.EvalShard measurement, flat so the
+// wire format stays a plain record.
 type DeviceEval struct {
 	Device    int
 	TrainLoss float64 // mean loss over the local training set
@@ -462,21 +465,13 @@ func (dv *Device) HandleEval(e EvalRequest) (EvalReply, error) {
 		if err != nil {
 			return EvalReply{}, err
 		}
-		ev := DeviceEval{
-			Device:    id,
-			TrainLoss: dv.mdl.Loss(view, s.Train),
-			TrainN:    len(s.Train),
-			TestN:     len(s.Test),
-		}
-		for _, ex := range s.Test {
-			if dv.mdl.Predict(view, ex) == ex.Y {
-				ev.Correct++
-			}
-		}
+		ev := metrics.EvalShard(dv.mdl, s, view)
 		if releaseShard != nil {
 			releaseShard()
 		}
-		reply.Devices = append(reply.Devices, ev)
+		reply.Devices = append(reply.Devices, DeviceEval{
+			Device: id, TrainLoss: ev.TrainLoss, TrainN: ev.TrainN, Correct: ev.Correct, TestN: ev.TestN,
+		})
 	}
 	dv.emit(obs.Event{Kind: obs.KindDeviceEval, Seq: e.Seq, N: len(hosted)})
 	return reply, nil

@@ -149,19 +149,13 @@ func (t *simTransport) observeLoss(params []float64) float64 {
 	return metrics.FleetLoss(t.m, t.fl, params)
 }
 
-// simEval answers an Evaluate command with in-process metric passes over
-// the whole network, at the (possibly codec-decoded) eval broadcast
-// view. The passes stream over the fleet, so evaluation memory is
-// O(workers × shard).
+// simEval answers an Evaluate command with one in-process metric pass
+// over the whole network, at the (possibly codec-decoded) eval broadcast
+// view. The pass streams over the fleet, materializing each shard once,
+// so evaluation memory is O(workers × shard).
 func simEval(m model.Model, fl Fleet, v Evaluate) EvalResult {
-	res := EvalResult{
-		Loss: metrics.FleetLoss(m, fl, v.Params),
-		Acc:  metrics.FleetAccuracy(m, fl, v.Params),
-	}
-	if v.TrackDissimilarity {
-		res.GradVar, res.B = metrics.FleetDissimilarity(m, fl, v.Params)
-	}
-	return res
+	r := metrics.Evaluate(m, fl, v.Params, v.TrackDissimilarity)
+	return EvalResult{Loss: r.Loss, Acc: r.Acc, GradVar: r.GradVar, B: r.B}
 }
 
 // serveNow serves one synchronous round's dispatches on the solve pool

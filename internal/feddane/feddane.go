@@ -56,10 +56,11 @@ func Run(m model.Model, fed *data.Federated, cfg Config) (*core.History, error) 
 
 	hist := &core.History{Label: labelFor(cfg)}
 	record := func(round, participants int) {
+		ev := metrics.Evaluate(m, fed.Fleet(), w, ecfg.TrackDissimilarity)
 		p := core.Point{
 			Round:          round,
-			TrainLoss:      metrics.GlobalLoss(m, fed, w),
-			TestAcc:        metrics.TestAccuracy(m, fed, w),
+			TrainLoss:      ev.Loss,
+			TestAcc:        ev.Acc,
 			GradVar:        math.NaN(),
 			B:              math.NaN(),
 			Mu:             ecfg.Mu,
@@ -70,7 +71,7 @@ func Run(m model.Model, fed *data.Federated, cfg Config) (*core.History, error) 
 			VirtualSeconds: math.NaN(),
 		}
 		if ecfg.TrackDissimilarity {
-			p.GradVar, p.B = metrics.Dissimilarity(m, fed, w)
+			p.GradVar, p.B = ev.GradVar, ev.B
 		}
 		hist.Points = append(hist.Points, p)
 	}

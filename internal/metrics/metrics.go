@@ -13,30 +13,105 @@
 // workers materialize a shard, measure it, and release it, so peak memory
 // during evaluation is O(workers × shard), not O(population) — the
 // property that lets a 10^6-device run afford its milestone evaluations.
-// The *data.Federated forms delegate through the eager Fleet adapter and
-// return bit-identical results.
+// Evaluate takes every metric in one pass, so an evaluation costs one
+// shard materialization per device: on a synthesized fleet, synthesis
+// dominates evaluation, and a second pass would double it. EvalShard is
+// that pass's per-device body, shared with the device runtime's wire
+// replies. The *data.Federated forms delegate through the eager Fleet
+// adapter and return bit-identical results.
 package metrics
 
 import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"fedprox/internal/data"
 	"fedprox/internal/model"
 	"fedprox/internal/tensor"
 )
 
-// GlobalLoss returns f(w) = Σ_k p_k F_k(w) with p_k = n_k/n over local
-// training sets.
-func GlobalLoss(m model.Model, fed *data.Federated, w []float64) float64 {
-	return FleetLoss(m, fed.Fleet(), w)
+// Result is the global metrics at one point: f(w), test accuracy, and
+// — when the evaluation asked for them — the dissimilarity measures
+// (zero otherwise).
+type Result struct {
+	Loss    float64
+	Acc     float64
+	GradVar float64
+	B       float64
 }
 
-// FleetLoss is GlobalLoss over a lazy fleet: shards are materialized,
-// measured, and released one at a time per worker. The weighted sum is
-// accumulated in ascending device order, so the result is bit-identical
-// across worker counts and to the eager path.
+// ShardEval is one shard's contribution to the global metrics.
+type ShardEval struct {
+	TrainLoss float64 // mean loss over the local training set
+	TrainN    int
+	Correct   int // correct test predictions
+	TestN     int
+}
+
+// EvalShard measures one materialized shard at w. It is the single body
+// for "one device's contribution": Evaluate folds it over the fleet, and
+// the device runtime reports it per hosted shard over the wire.
+func EvalShard(m model.Model, s *data.Shard, w []float64) ShardEval {
+	ev := ShardEval{
+		TrainLoss: m.Loss(w, s.Train),
+		TrainN:    len(s.Train),
+		TestN:     len(s.Test),
+	}
+	for _, ex := range s.Test {
+		if m.Predict(w, ex) == ex.Y {
+			ev.Correct++
+		}
+	}
+	return ev
+}
+
+// Evaluate measures the global model over a fleet in one pass: each
+// shard is materialized once, measured by EvalShard (plus its full
+// local gradient when dissimilarity is set), and released. Per-device
+// losses (and gradients) land in slots that are combined in ascending
+// device order, so the result is bit-identical across worker counts and
+// to the eager path; the test counts are integers, whose sum does not
+// depend on order.
+func Evaluate(m model.Model, fl data.Fleet, w []float64, dissimilarity bool) Result {
+	n := fl.NumDevices()
+	losses := make([]float64, n)
+	var correct, total atomic.Int64
+	var grads [][]float64
+	if dissimilarity {
+		grads = make([][]float64, n)
+	}
+	forEachShard(n, func(k int) {
+		s := fl.Shard(k)
+		ev := EvalShard(m, s, w)
+		if grads != nil {
+			grads[k] = make([]float64, m.NumParams())
+			m.Grad(grads[k], w, s.Train)
+		}
+		fl.Release(k)
+		losses[k] = ev.TrainLoss
+		correct.Add(int64(ev.Correct))
+		total.Add(int64(ev.TestN))
+	})
+	weights := data.FleetWeights(fl)
+	var r Result
+	for k, l := range losses {
+		r.Loss += weights[k] * l
+	}
+	if t := total.Load(); t > 0 {
+		r.Acc = float64(correct.Load()) / float64(t)
+	}
+	if grads != nil {
+		r.GradVar, r.B = dissimilarityOf(grads, weights, m.NumParams())
+	}
+	return r
+}
+
+// FleetLoss returns f(w) = Σ_k p_k F_k(w), with p_k = n_k/n, over a
+// fleet's local training sets alone — the loss-only pass adaptive μ
+// observes between evaluations. The weighted sum is accumulated in
+// ascending device order, matching Evaluate's Loss bit for bit.
 func FleetLoss(m model.Model, fl data.Fleet, w []float64) float64 {
 	weights := data.FleetWeights(fl)
 	losses := make([]float64, fl.NumDevices())
@@ -50,38 +125,6 @@ func FleetLoss(m model.Model, fl data.Fleet, w []float64) float64 {
 		total += weights[k] * l
 	}
 	return total
-}
-
-// TestAccuracy returns the network-wide test accuracy: total correct
-// predictions over total test examples across every device.
-func TestAccuracy(m model.Model, fed *data.Federated, w []float64) float64 {
-	return FleetAccuracy(m, fed.Fleet(), w)
-}
-
-// FleetAccuracy is TestAccuracy over a lazy fleet.
-func FleetAccuracy(m model.Model, fl data.Fleet, w []float64) float64 {
-	n := fl.NumDevices()
-	correct := make([]int, n)
-	counts := make([]int, n)
-	forEachShard(n, func(k int) {
-		s := fl.Shard(k)
-		for _, ex := range s.Test {
-			if m.Predict(w, ex) == ex.Y {
-				correct[k]++
-			}
-		}
-		counts[k] = len(s.Test)
-		fl.Release(k)
-	})
-	c, total := 0, 0
-	for k := range correct {
-		c += correct[k]
-		total += counts[k]
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(c) / float64(total)
 }
 
 // PerClassAccuracy returns test accuracy broken down by true label, plus
@@ -141,28 +184,21 @@ func GradVariance(m model.Model, fed *data.Federated, w []float64) float64 {
 // with B(w) defined as 1 at points where the two coincide (the paper's
 // stationarity convention) and 0 reported when ‖∇f(w)‖ is numerically
 // zero without agreement.
+//
+// The per-device gradients are held until ∇f(w) is known, so a
+// dissimilarity evaluation costs O(N × params) floats: it is meant for
+// the tracked-dissimilarity configurations (tens to hundreds of
+// devices), not million-device sweeps — which reject TrackGamma anyway.
 func Dissimilarity(m model.Model, fed *data.Federated, w []float64) (variance, b float64) {
-	return FleetDissimilarity(m, fed.Fleet(), w)
+	r := Evaluate(m, fed.Fleet(), w, true)
+	return r.GradVar, r.B
 }
 
-// FleetDissimilarity is Dissimilarity over a lazy fleet. Shards are
-// transient, but the per-device gradients are not: ∇f(w) needs every
-// ∇F_k(w), so this holds O(N × params) floats and is meant for the
-// tracked-dissimilarity configurations (tens to hundreds of devices),
-// not million-device sweeps — which reject TrackGamma anyway.
-func FleetDissimilarity(m model.Model, fl data.Fleet, w []float64) (variance, b float64) {
-	weights := data.FleetWeights(fl)
-	n := fl.NumDevices()
-	grads := make([][]float64, n)
-	forEachShard(n, func(k int) {
-		g := make([]float64, m.NumParams())
-		s := fl.Shard(k)
-		m.Grad(g, w, s.Train)
-		fl.Release(k)
-		grads[k] = g
-	})
+// dissimilarityOf reduces per-device gradients ∇F_k(w) with weights p_k
+// to the gradient variance and B(w), in ascending device order.
+func dissimilarityOf(grads [][]float64, weights []float64, params int) (variance, b float64) {
 	// ∇f(w) = Σ p_k ∇F_k(w).
-	gf := make([]float64, m.NumParams())
+	gf := make([]float64, params)
 	for k, g := range grads {
 		tensor.Axpy(weights[k], g, gf)
 	}

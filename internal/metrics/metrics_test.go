@@ -1,12 +1,18 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"fedprox/internal/data"
+	"fedprox/internal/data/synthetic"
 	"fedprox/internal/frand"
+	"fedprox/internal/model"
 	"fedprox/internal/model/linear"
+	"fedprox/internal/tensor"
 )
 
 // identicalShards builds a network whose devices all hold the same data,
@@ -49,8 +55,8 @@ func TestGlobalLossWeighted(t *testing.T) {
 	w := make([]float64, m.NumParams())
 	// All shards identical ⇒ global loss equals any single shard's loss.
 	want := m.Loss(w, fed.Shards[0].Train)
-	if got := GlobalLoss(m, fed, w); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("GlobalLoss = %g, want %g", got, want)
+	if got := Evaluate(m, fed.Fleet(), w, false).Loss; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("Loss = %g, want %g", got, want)
 	}
 }
 
@@ -74,8 +80,8 @@ func TestGlobalLossRespectsWeights(t *testing.T) {
 	l0 := m.Loss(w, fed.Shards[0].Train)
 	l1 := m.Loss(w, fed.Shards[1].Train)
 	want := 0.9*l0 + 0.1*l1
-	if got := GlobalLoss(m, fed, w); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("GlobalLoss = %g, want %g", got, want)
+	if got := Evaluate(m, fed.Fleet(), w, false).Loss; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("Loss = %g, want %g", got, want)
 	}
 }
 
@@ -86,13 +92,13 @@ func TestTestAccuracyPerfectAndZero(t *testing.T) {
 	// gets +x0 weight.
 	w := make([]float64, m.NumParams())
 	w[4] = 100 // W[1][0]
-	acc := TestAccuracy(m, fed, w)
+	acc := Evaluate(m, fed.Fleet(), w, false).Acc
 	if acc < 0.99 {
 		t.Fatalf("constructed classifier accuracy = %g, want ~1", acc)
 	}
 	// Inverted classifier: accuracy ~0.
 	w[4] = -100
-	if acc := TestAccuracy(m, fed, w); acc > 0.01 {
+	if acc := Evaluate(m, fed.Fleet(), w, false).Acc; acc > 0.01 {
 		t.Fatalf("inverted classifier accuracy = %g, want ~0", acc)
 	}
 }
@@ -101,7 +107,7 @@ func TestTestAccuracyEmptyNetwork(t *testing.T) {
 	fed := &data.Federated{Name: "e", NumClasses: 2, FeatureDim: 1,
 		Shards: []*data.Shard{{Train: []data.Example{{X: []float64{1}, Y: 0}}}}}
 	m := linear.ForDataset(fed)
-	if acc := TestAccuracy(m, fed, make([]float64, m.NumParams())); acc != 0 {
+	if acc := Evaluate(m, fed.Fleet(), make([]float64, m.NumParams()), false).Acc; acc != 0 {
 		t.Fatalf("accuracy with no test data = %g, want 0", acc)
 	}
 }
@@ -199,6 +205,110 @@ func TestForEachShardSmallN(t *testing.T) {
 	for k, c := range mu {
 		if c != 1 {
 			t.Fatalf("index %d ran %d times", k, c)
+		}
+	}
+}
+
+// countingFleet counts every shard materialization and release.
+type countingFleet struct {
+	data.Fleet
+	shards, releases atomic.Int64
+}
+
+func (f *countingFleet) Shard(k int) *data.Shard {
+	f.shards.Add(1)
+	return f.Fleet.Shard(k)
+}
+
+func (f *countingFleet) Release(k int) {
+	f.releases.Add(1)
+	f.Fleet.Release(k)
+}
+
+// threePassReference computes the metrics the way separate passes
+// would: a loss pass, an accuracy pass and a gradient pass, each walking
+// the fleet sequentially and summing in ascending device order.
+func threePassReference(m model.Model, fl data.Fleet, w []float64) Result {
+	n := fl.NumDevices()
+	weights := data.FleetWeights(fl)
+	var r Result
+	for k := 0; k < n; k++ {
+		r.Loss += weights[k] * m.Loss(w, fl.Shard(k).Train)
+		fl.Release(k)
+	}
+	correct, total := 0, 0
+	for k := 0; k < n; k++ {
+		s := fl.Shard(k)
+		for _, ex := range s.Test {
+			if m.Predict(w, ex) == ex.Y {
+				correct++
+			}
+		}
+		total += len(s.Test)
+		fl.Release(k)
+	}
+	r.Acc = float64(correct) / float64(total)
+	grads := make([][]float64, n)
+	gf := make([]float64, m.NumParams())
+	for k := 0; k < n; k++ {
+		grads[k] = make([]float64, m.NumParams())
+		m.Grad(grads[k], w, fl.Shard(k).Train)
+		fl.Release(k)
+		tensor.Axpy(weights[k], grads[k], gf)
+	}
+	normF2 := tensor.Dot(gf, gf)
+	exp2 := 0.0
+	for k, g := range grads {
+		exp2 += weights[k] * tensor.Dot(g, g)
+		r.GradVar += weights[k] * tensor.SqDist(g, gf)
+	}
+	r.B = math.Sqrt(exp2 / normF2)
+	return r
+}
+
+// TestFleetEvalOneShardPerDevice: one evaluation materializes and
+// releases each device's shard exactly once, with or without the
+// dissimilarity measures, and reproduces separate per-metric passes bit
+// for bit at any worker count, over eager and lazy fleets alike.
+func TestFleetEvalOneShardPerDevice(t *testing.T) {
+	cfg := synthetic.Default(1, 1)
+	cfg.Devices, cfg.Dim, cfg.Classes = 200, 6, 4
+	cfg.MinSamples, cfg.MaxSamples = 5, 40
+	fleets := map[string]data.Fleet{
+		"eager": synthetic.Generate(cfg).Fleet(),
+		"lazy":  synthetic.NewFleet(cfg),
+	}
+	m := linear.New(cfg.Dim, cfg.Classes)
+	w := frand.New(33).NormVec(make([]float64, m.NumParams()), 0, 0.5)
+	want := threePassReference(m, fleets["eager"], w)
+	bits := func(r Result) [4]uint64 {
+		return [4]uint64{math.Float64bits(r.Loss), math.Float64bits(r.Acc), math.Float64bits(r.GradVar), math.Float64bits(r.B)}
+	}
+	for _, name := range []string{"eager", "lazy"} {
+		if got := threePassReference(m, fleets[name], w); bits(got) != bits(want) {
+			t.Fatalf("%s reference %+v != eager reference %+v", name, got, want)
+		}
+		if got := FleetLoss(m, fleets[name], w); math.Float64bits(got) != math.Float64bits(want.Loss) {
+			t.Fatalf("%s FleetLoss = %v, want %v", name, got, want.Loss)
+		}
+		for _, procs := range []int{1, 4} {
+			for _, dissim := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/procs=%d/dissimilarity=%v", name, procs, dissim), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					fl := &countingFleet{Fleet: fleets[name]}
+					got := Evaluate(m, fl, w, dissim)
+					if s, r := fl.shards.Load(), fl.releases.Load(); s != int64(cfg.Devices) || r != int64(cfg.Devices) {
+						t.Fatalf("%d Shard and %d Release calls, want %d each", s, r, cfg.Devices)
+					}
+					ref := want
+					if !dissim {
+						ref.GradVar, ref.B = 0, 0
+					}
+					if bits(got) != bits(ref) {
+						t.Fatalf("Evaluate = %+v, want %+v", got, ref)
+					}
+				})
+			}
 		}
 	}
 }
